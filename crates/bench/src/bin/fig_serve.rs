@@ -7,9 +7,9 @@
 //! data in the shape they individually choose" — so the number that
 //! matters is not one transformation's wall time but what a long-lived
 //! process sustains across concurrent sessions. Each client loops a
-//! small mix of guards over its own connection (the per-connection
-//! session caches guard parses, so steady state measures the render
-//! path and the wire, not the parser).
+//! small mix of guards over its own connection (the server compiles
+//! each guard once per document epoch, so steady state measures the
+//! render path and the wire, not the compiler).
 //!
 //! Flags: `--scale <f>` scales the document, `--smoke` runs a tiny
 //! document and short windows (the CI gate), `--threads-per-query <n>`

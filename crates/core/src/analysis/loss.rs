@@ -18,26 +18,47 @@
 //! guard simply does not mention are reported informationally
 //! (subsetting) without affecting the class, matching the paper's
 //! type-complete framing.
+//!
+//! The pairwise comparison does not walk a path per pair. Def. 6
+//! `pathCard` composes along the path, so one walk from a node yields
+//! its path cardinality to every other node (`PathCards`); each pair
+//! is then an O(1) lookup in two reusable buffers, one per shape.
 
+use crate::model::card::Card;
 use crate::report::{LossFinding, LossReport};
 use crate::semantics::shape::{SId, Shape};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::ops::Range;
 
 /// Run the loss analysis: `src` is the data-backed source shape, `tgt`
 /// the evaluated target shape (with predicted cardinalities), and
 /// `instance_count(t)` the number of instances of source-shape node `t`.
 pub fn analyze_loss(src: &Shape, tgt: &Shape, instance_count: impl Fn(SId) -> u64) -> LossReport {
-    let mut findings: Vec<LossFinding> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut report = check_theorems(src, tgt);
+
+    // Subsetting: source types absent from the target (informational).
+    let present: BTreeSet<SId> = tgt
+        .preorder()
+        .into_iter()
+        .filter_map(|n| tgt.nodes[n].origin)
+        .collect();
+    for s in 0..src.nodes.len() {
+        if !present.contains(&s) && instance_count(s) > 0 {
+            report
+                .dropped_types
+                .push((src.dotted(s), instance_count(s)));
+        }
+    }
+    report
+}
+
+/// The Theorem 1/2 checks alone: the typing class and its findings,
+/// without the informational subsetting list (`dropped_types` stays
+/// empty). This is all a query needs to enforce the typing discipline.
+pub(crate) fn check_theorems(src: &Shape, tgt: &Shape) -> LossReport {
+    let mut findings = Findings::default();
     let mut inclusive = true;
     let mut non_additive = true;
-
-    let push = |findings: &mut Vec<LossFinding>, seen: &mut BTreeSet<String>, f: LossFinding| {
-        let key = format!("{f:?}");
-        if seen.insert(key) {
-            findings.push(f);
-        }
-    };
 
     // Renderable target nodes (filters excluded) in preorder.
     let nodes = tgt.preorder();
@@ -50,21 +71,13 @@ pub fn analyze_loss(src: &Shape, tgt: &Shape, instance_count: impl Fn(SId) -> u6
                 .origin
                 .map(|o| src.dotted(o))
                 .unwrap_or_else(|| tgt.nodes[n].name.clone());
-            push(
-                &mut findings,
-                &mut seen,
-                LossFinding::CloneAdds { type_name: name },
-            );
+            findings.push(LossFinding::CloneAdds { type_name: name });
         }
         if tgt.nodes[n].is_new {
             non_additive = false;
-            push(
-                &mut findings,
-                &mut seen,
-                LossFinding::NewAdds {
-                    name: tgt.nodes[n].name.clone(),
-                },
-            );
+            findings.push(LossFinding::NewAdds {
+                name: tgt.nodes[n].name.clone(),
+            });
         }
     }
 
@@ -75,14 +88,10 @@ pub fn analyze_loss(src: &Shape, tgt: &Shape, instance_count: impl Fn(SId) -> u6
                 let guaranteed = src.path_card(no, fo).map(|c| c.min >= 1).unwrap_or(false);
                 if !guaranteed {
                     inclusive = false;
-                    push(
-                        &mut findings,
-                        &mut seen,
-                        LossFinding::RestrictFilters {
-                            type_name: src.dotted(no),
-                            filter: src.dotted(fo),
-                        },
-                    );
+                    findings.push(LossFinding::RestrictFilters {
+                        type_name: src.dotted(no),
+                        filter: src.dotted(fo),
+                    });
                 }
             }
         }
@@ -92,11 +101,16 @@ pub fn analyze_loss(src: &Shape, tgt: &Shape, instance_count: impl Fn(SId) -> u6
     // different target trees relate through the virtual forest root (the
     // rendered document wrapper), with the root edges carrying absolute
     // cardinalities — so flattening two types side by side is checked
-    // like any other rearrangement.
+    // like any other rearrangement. Source types always relate the same
+    // way, so every pair has a source path cardinality to compare with.
+    let mut tgt_cards = PathCards::new(tgt);
+    let mut src_cards = PathCards::new(src);
     for &x in &nodes {
         let Some(ox) = tgt.nodes[x].origin else {
             continue;
         };
+        tgt_cards.fill(x);
+        src_cards.fill(ox);
         for &y in &nodes {
             if x == y {
                 continue;
@@ -104,74 +118,147 @@ pub fn analyze_loss(src: &Shape, tgt: &Shape, instance_count: impl Fn(SId) -> u6
             let Some(oy) = tgt.nodes[y].origin else {
                 continue;
             };
-            let Some(tgt_card) = tgt.path_card(x, y) else {
-                continue;
-            };
-            let src_card = src.path_card(ox, oy);
-            match src_card {
-                Some(sc) => {
-                    if sc.min == 0 && tgt_card.min > 0 {
-                        inclusive = false;
-                        push(
-                            &mut findings,
-                            &mut seen,
-                            LossFinding::MinCardRaised {
-                                from: src.dotted(ox),
-                                to: src.dotted(oy),
-                                src: sc,
-                                tgt: tgt_card,
-                            },
-                        );
-                    }
-                    if tgt_card.max > sc.max {
-                        non_additive = false;
-                        push(
-                            &mut findings,
-                            &mut seen,
-                            LossFinding::MaxCardRaised {
-                                from: src.dotted(ox),
-                                to: src.dotted(oy),
-                                src: sc,
-                                tgt: tgt_card,
-                            },
-                        );
-                    }
-                }
-                None => {
-                    // Unrelated in the source: relating them at all both
-                    // requires partners (may drop) and manufactures
-                    // relationships (may add).
-                    if tgt_card.min > 0 {
-                        inclusive = false;
-                    }
-                    non_additive = false;
-                    push(
-                        &mut findings,
-                        &mut seen,
-                        LossFinding::MaxCardRaised {
-                            from: src.dotted(ox),
-                            to: src.dotted(oy),
-                            src: crate::model::card::Card::zero(),
-                            tgt: tgt_card,
-                        },
-                    );
-                }
+            let tc = tgt_cards.get(y);
+            let sc = src_cards.get(oy);
+            if sc.min == 0 && tc.min > 0 {
+                inclusive = false;
+                findings.push(LossFinding::MinCardRaised {
+                    from: src.dotted(ox),
+                    to: src.dotted(oy),
+                    src: sc,
+                    tgt: tc,
+                });
+            }
+            if tc.max > sc.max {
+                non_additive = false;
+                findings.push(LossFinding::MaxCardRaised {
+                    from: src.dotted(ox),
+                    to: src.dotted(oy),
+                    src: sc,
+                    tgt: tc,
+                });
             }
         }
     }
 
-    let mut report = LossReport::classify(inclusive, non_additive, findings);
+    LossReport::classify(inclusive, non_additive, findings.list)
+}
 
-    // Subsetting: source types absent from the target (informational).
-    let present: BTreeSet<SId> = nodes.iter().filter_map(|&n| tgt.nodes[n].origin).collect();
-    for s in 0..src.nodes.len() {
-        if !present.contains(&s) && instance_count(s) > 0 {
-            report
-                .dropped_types
-                .push((src.dotted(s), instance_count(s)));
+/// Findings in detection order, each kept once (by value).
+#[derive(Default)]
+struct Findings {
+    list: Vec<LossFinding>,
+    seen: HashSet<LossFinding>,
+}
+
+impl Findings {
+    fn push(&mut self, f: LossFinding) {
+        if !self.seen.contains(&f) {
+            self.seen.insert(f.clone());
+            self.list.push(f);
         }
     }
-    report
+}
+
+/// Path cardinalities (Def. 6) from one node of a shape to every node
+/// of it, computed in one linear pass and held in reusable buffers.
+///
+/// Nodes are laid out in preorder, so every subtree is a contiguous
+/// span of positions and a parent comes before its children. Filter
+/// subtrees are left out: the checks compare renderable nodes only. `absolute[q]` multiplies the edge cards from the node
+/// at `q` up to and including its root: the path cardinality into it
+/// from any node of another tree, which relates through the virtual
+/// forest root. [`PathCards::fill`] computes `local` over the start
+/// node's own tree: `1..1` on the start node and its ancestors (the
+/// positions whose subtree span contains it), and below them the
+/// product of the edge cards down from the nearest such ancestor.
+struct PathCards {
+    /// Preorder position of each node (`usize::MAX` for filter nodes
+    /// and nodes no root reaches).
+    pos: Vec<usize>,
+    /// Per position: the parent's position (a root points at itself),
+    /// the edge card, and one past the end of the subtree's span.
+    up: Vec<usize>,
+    card: Vec<Card>,
+    end: Vec<usize>,
+    absolute: Vec<Card>,
+    local: Vec<Card>,
+    /// Positions of the tree `local` was filled for.
+    filled: Range<usize>,
+    from: Option<SId>,
+}
+
+impl PathCards {
+    fn new(shape: &Shape) -> PathCards {
+        let n = shape.nodes.len();
+        let mut cards = PathCards {
+            pos: vec![usize::MAX; n],
+            up: Vec::with_capacity(n),
+            card: Vec::with_capacity(n),
+            end: Vec::with_capacity(n),
+            absolute: Vec::with_capacity(n),
+            local: Vec::with_capacity(n),
+            filled: 0..0,
+            from: None,
+        };
+        // Preorder from every root: (node, parent position).
+        let mut stack: Vec<(SId, Option<usize>)> = Vec::new();
+        for &root in shape.roots.iter().rev() {
+            stack.push((root, None));
+        }
+        while let Some((node, parent)) = stack.pop() {
+            let q = cards.up.len();
+            let edge = shape.nodes[node].card;
+            let above = parent.map_or(Card::one(), |p| cards.absolute[p]);
+            cards.pos[node] = q;
+            cards.up.push(parent.unwrap_or(q));
+            cards.card.push(edge);
+            cards.end.push(q + 1);
+            cards.absolute.push(above.mul(edge));
+            cards.local.push(Card::one());
+            for &c in shape.nodes[node].children.iter().rev() {
+                stack.push((c, Some(q)));
+            }
+        }
+        // Children follow their parent, so one backward sweep closes
+        // every span.
+        for q in (0..cards.up.len()).rev() {
+            let p = cards.up[q];
+            cards.end[p] = cards.end[p].max(cards.end[q]);
+        }
+        cards
+    }
+
+    /// Make [`PathCards::get`] answer path cardinalities from `x`.
+    fn fill(&mut self, x: SId) {
+        if self.from == Some(x) {
+            return;
+        }
+        self.from = Some(x);
+        let px = self.pos[x];
+        let mut root = px;
+        while self.up[root] != root {
+            root = self.up[root];
+        }
+        self.filled = root..self.end[root];
+        for q in self.filled.clone() {
+            self.local[q] = if q <= px && px < self.end[q] {
+                Card::one()
+            } else {
+                self.local[self.up[q]].mul(self.card[q])
+            };
+        }
+    }
+
+    /// Path cardinality from the node last filled to `y`.
+    fn get(&self, y: SId) -> Card {
+        let q = self.pos[y];
+        if self.filled.contains(&q) {
+            self.local[q]
+        } else {
+            self.absolute[q]
+        }
+    }
 }
 
 #[cfg(test)]

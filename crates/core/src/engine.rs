@@ -30,10 +30,16 @@
 //! copy-on-write [`Snapshot`] of the document and run against that one
 //! epoch; [`Engine::mutate`] is the single-writer entry point that
 //! publishes the next epoch — so the server serves writes concurrently
-//! with reads, and no reader ever sees a half-applied mutation. A
-//! [`Session`] is the cheap per-client layer on top: it caches parsed
-//! guards by source text — "the same guard will be reused for many
-//! queries" (§I) — so a client replaying its guard pays parsing once.
+//! with reads, and no reader ever sees a half-applied mutation.
+//!
+//! "The same guard will be reused for many queries" (§I), so each
+//! pinned [`Snapshot`] carries a compile cache keyed by guard text: the
+//! first query of a guard in an epoch parses it, evaluates ξ and runs
+//! the loss analysis; every later query of the same text in that epoch
+//! goes straight to typing enforcement and render. The cache retires
+//! with its epoch and holds at most [`COMPILE_CACHE_CAP`] guards. A
+//! [`Session`] is the per-client layer on top; it counts the queries it
+//! served.
 //!
 //! Every query can opt into a [`QueryStats`] record: the compile/render
 //! split the paper's Fig. 10 measures, plus the delta of the store's
@@ -43,6 +49,7 @@
 //!
 //! [`apply_parallel`]: crate::semantics::parallel::apply_parallel
 //! [`render_parallel`]: crate::semantics::parallel::render_parallel
+//! [`COMPILE_CACHE_CAP`]: crate::store::shredded::COMPILE_CACHE_CAP
 
 use crate::error::{MorphError, MorphResult};
 use crate::guard::Guard;
@@ -50,7 +57,6 @@ use crate::render::RenderOptions;
 use crate::report::GuardTyping;
 use crate::semantics::parallel::{render_parallel_snapshot, ParallelOptions};
 use crate::store::shredded::{OpenOptions, ShredOptions, ShreddedDoc, Snapshot};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
@@ -151,10 +157,13 @@ impl QueryRequestBuilder {
 /// What one query actually cost, measured around its execution.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
-    /// The compile phase: guard analysis (ξ evaluation + loss report)
-    /// and typing enforcement. Parsing is excluded when a [`Session`]
-    /// served a cached guard.
+    /// The compile phase: the compile-cache lookup and typing
+    /// enforcement, plus, on a miss, guard parsing, ξ evaluation and the
+    /// loss analysis.
     pub compile: Duration,
+    /// True when the guard came out of the pinned snapshot's compile
+    /// cache, so `compile` covers only the lookup and enforcement.
+    pub compile_cached: bool,
     /// The render phase (dominates; §IX, Fig. 10).
     pub render: Duration,
     /// Render worker threads actually used.
@@ -338,29 +347,39 @@ impl Engine {
         &self.store
     }
 
-    /// A new session over this engine (per-client guard cache).
+    /// A new per-client session over this engine.
     pub fn session(&self) -> Session<'_> {
         Session {
             engine: self,
-            guards: HashMap::new(),
             queries: 0,
         }
     }
 
-    /// Parse and run one query. Sessions amortize the parse; this
-    /// entry point pays it every time.
-    pub fn query(&self, req: &QueryRequest) -> MorphResult<QueryResponse> {
-        let guard = Guard::parse(&req.guard)?;
-        self.query_parsed(&guard, req)
-    }
-
-    /// Run an already-parsed guard under `req`'s execution knobs.
+    /// Run one query. The guard text is looked up in the pinned
+    /// snapshot's compile cache; only a miss parses and compiles it.
+    /// Parse and evaluation errors are returned and never cached.
     ///
     /// The document read lock is held only long enough to pin a
     /// [`Snapshot`]; analysis and rendering then run lock-free against
     /// that one epoch, so a query never observes a half-applied
     /// mutation and never blocks the writer for its whole duration.
+    pub fn query(&self, req: &QueryRequest) -> MorphResult<QueryResponse> {
+        self.run(&req.guard, None, req)
+    }
+
+    /// [`Engine::query`] for an already-parsed guard: the compile cache
+    /// is keyed by [`Guard::source`], and a miss compiles `guard`
+    /// without parsing again.
     pub fn query_parsed(&self, guard: &Guard, req: &QueryRequest) -> MorphResult<QueryResponse> {
+        self.run(guard.source(), Some(guard), req)
+    }
+
+    fn run(
+        &self,
+        text: &str,
+        parsed: Option<&Guard>,
+        req: &QueryRequest,
+    ) -> MorphResult<QueryResponse> {
         let snap = {
             let doc = self.doc.read().unwrap();
             if let Some(bytes) = req.column_budget {
@@ -372,8 +391,19 @@ impl Engine {
         let before_cols = req.collect_stats.then(|| snap.column_bytes().total());
 
         let t0 = Instant::now();
-        let analysis = guard.analyze_snapshot(&snap)?;
-        analysis.enforce()?;
+        let cached = snap.compiled_guard(text);
+        let compile_cached = cached.is_some();
+        let compiled = match cached {
+            Some(hit) => hit,
+            None => {
+                let compiled = match parsed {
+                    Some(guard) => guard.compile_snapshot(&snap)?,
+                    None => Guard::parse(text)?.compile_snapshot(&snap)?,
+                };
+                snap.cache_compiled(text, compiled)
+            }
+        };
+        compiled.enforce()?;
         let compile = t0.elapsed();
 
         let threads = if req.threads > 0 {
@@ -391,11 +421,12 @@ impl Engine {
             },
         };
         let t1 = Instant::now();
-        let xml = render_parallel_snapshot(&snap, &analysis.target, &popts)?;
+        let xml = render_parallel_snapshot(&snap, &compiled.target, &popts)?;
         let render = t1.elapsed();
 
         let stats = before_io.map(|before| QueryStats {
             compile,
+            compile_cached,
             render,
             threads,
             io: self.store.io_stats_snapshot().since(&before),
@@ -407,7 +438,7 @@ impl Engine {
         });
         Ok(QueryResponse {
             xml,
-            typing: analysis.loss.typing,
+            typing: compiled.typing,
             stats,
         })
     }
@@ -455,13 +486,13 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Per-client query state over a shared [`Engine`]: a cache of parsed
-/// guards keyed by their source text. The server gives each connection
-/// one session; single-program tools can use one session for their
-/// whole run.
+/// Per-client query state over a shared [`Engine`]: the count of
+/// queries served. The server gives each connection one session;
+/// single-program tools can use one session for their whole run.
+/// Compiled guards are cached per epoch on the engine's snapshots, not
+/// here, so a session holds nothing that grows with its client.
 pub struct Session<'e> {
     engine: &'e Engine,
-    guards: HashMap<String, Guard>,
     queries: u64,
 }
 
@@ -471,25 +502,13 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    /// Run one query, reusing the cached parse of its guard when this
-    /// session has seen the text before. Parse failures are not
-    /// cached (the client may resubmit a corrected guard).
+    /// Run one query ([`Engine::query`]).
     pub fn query(&mut self, req: &QueryRequest) -> MorphResult<QueryResponse> {
-        if !self.guards.contains_key(req.guard()) {
-            let parsed = Guard::parse(req.guard())?;
-            self.guards.insert(req.guard().to_string(), parsed);
-        }
-        let guard = &self.guards[req.guard()];
-        let resp = self.engine.query_parsed(guard, req);
+        let resp = self.engine.query(req);
         if resp.is_ok() {
             self.queries += 1;
         }
         resp
-    }
-
-    /// Distinct guards parsed and cached so far.
-    pub fn cached_guards(&self) -> usize {
-        self.guards.len()
     }
 
     /// Successfully served queries.
@@ -501,6 +520,7 @@ impl<'e> Session<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::shredded::COMPILE_CACHE_CAP;
 
     const FIG1A: &str = "<data>\
         <book><title>X</title><author><name>Tim</name></author></book>\
@@ -547,20 +567,72 @@ mod tests {
         assert!(resp.xml.starts_with("<author>"), "{}", resp.xml);
     }
 
+    fn compiled_from_cache(engine: &Engine, req: &QueryRequest) -> bool {
+        engine
+            .query(req)
+            .unwrap()
+            .stats
+            .expect("stats requested")
+            .compile_cached
+    }
+
     #[test]
-    fn session_caches_guard_parses() {
+    fn session_repeat_query_hits_compile_cache() {
         let engine = Engine::from_xml(FIG1A).unwrap();
         let mut session = engine.session();
-        let req = QueryRequest::builder("MORPH title").build();
-        let a = session.query(&req).unwrap().xml;
-        let b = session.query(&req).unwrap().xml;
-        assert_eq!(a, b);
-        assert_eq!(session.cached_guards(), 1);
+        let req = QueryRequest::builder("MORPH title").stats(true).build();
+        let a = session.query(&req).unwrap();
+        let b = session.query(&req).unwrap();
+        assert_eq!(a.xml, b.xml);
+        assert!(!a.stats.unwrap().compile_cached);
+        assert!(b.stats.unwrap().compile_cached);
         assert_eq!(session.queries_served(), 2);
-        // A parse failure is surfaced and not cached.
+        // A parse failure is surfaced, not counted, and not cached: the
+        // resubmitted text fails to parse again.
         let bad = QueryRequest::builder("MORPH [[[").build();
-        assert!(session.query(&bad).is_err());
-        assert_eq!(session.cached_guards(), 1);
+        for _ in 0..2 {
+            assert!(matches!(session.query(&bad), Err(MorphError::Parse { .. })));
+        }
+        assert_eq!(engine.snapshot().compiled_guards(), 1);
+        assert_eq!(session.queries_served(), 2);
+    }
+
+    #[test]
+    fn queries_in_one_epoch_share_one_compiled_guard() {
+        let engine = Engine::from_xml(FIG1A).unwrap();
+        let req = QueryRequest::builder("MORPH author [ name ]").build();
+        let snap = engine.snapshot();
+        assert!(snap.compiled_guard(req.guard()).is_none());
+        let first_xml = engine.query(&req).unwrap().xml;
+        let first = snap.compiled_guard(req.guard()).expect("cached");
+        let guard = Guard::parse(req.guard()).unwrap();
+        assert_eq!(engine.query_parsed(&guard, &req).unwrap().xml, first_xml);
+        let second = snap.compiled_guard(req.guard()).expect("cached");
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(snap.compiled_guards(), 1);
+    }
+
+    #[test]
+    fn compile_cache_cap_holds() {
+        let engine = Engine::from_xml(FIG1A).unwrap();
+        let guards: Vec<QueryRequest> = (1..=COMPILE_CACHE_CAP + 8)
+            .map(|i| {
+                QueryRequest::builder(format!("MORPH{}title", " ".repeat(i)))
+                    .stats(true)
+                    .build()
+            })
+            .collect();
+        let expected = engine.query(&guards[0]).unwrap().xml;
+        for req in &guards {
+            assert_eq!(engine.query(req).unwrap().xml, expected);
+        }
+        let snap = engine.snapshot();
+        assert_eq!(snap.compiled_guards(), COMPILE_CACHE_CAP);
+        // Guards past the cap are still served, compiled every time.
+        let last = guards.last().unwrap();
+        assert!(snap.compiled_guard(last.guard()).is_none());
+        assert!(!compiled_from_cache(&engine, last));
+        assert!(compiled_from_cache(&engine, &guards[0]));
     }
 
     #[test]
@@ -573,11 +645,20 @@ mod tests {
             <book><title>Y</title><publisher><name>V</name></publisher></book>\
             </author></data>";
         let engine = Engine::from_xml(fig1c).unwrap();
-        let req = QueryRequest::builder("MORPH author [ !title name publisher [ name ] ]").build();
-        match engine.query(&req) {
-            Err(MorphError::Rejected { .. }) => {}
-            other => panic!("expected Rejected, got {other:?}"),
+        let guard = "MORPH author [ !title name publisher [ name ] ]";
+        let req = QueryRequest::builder(guard).build();
+        // The rejected guard is cached with its typing, so every cache
+        // hit is rejected again.
+        for _ in 0..3 {
+            match engine.query(&req) {
+                Err(MorphError::Rejected { typing, .. }) => {
+                    assert_eq!(typing, GuardTyping::Widening)
+                }
+                other => panic!("expected Rejected, got {other:?}"),
+            }
         }
+        let entry = engine.snapshot().compiled_guard(guard).expect("cached");
+        assert_eq!(entry.typing, GuardTyping::Widening);
     }
 
     #[test]
@@ -600,8 +681,9 @@ mod tests {
     #[test]
     fn mutate_then_query_sees_new_epoch() {
         let engine = Engine::from_xml(FIG1A).unwrap();
-        let req = QueryRequest::builder("MORPH title").build();
+        let req = QueryRequest::builder("MORPH title").stats(true).build();
         assert!(engine.query(&req).unwrap().xml.contains("<title>X</title>"));
+        assert!(compiled_from_cache(&engine, &req));
         let e0 = engine.epoch();
         let out = engine
             .mutate(&Mutation::UpdateText {
@@ -611,9 +693,13 @@ mod tests {
             .unwrap();
         assert_eq!(out, MutationOutcome::Updated);
         assert!(engine.epoch() > e0);
-        let xml = engine.query(&req).unwrap().xml;
+        // The new epoch's snapshot starts with an empty compile cache.
+        let resp = engine.query(&req).unwrap();
+        assert!(!resp.stats.unwrap().compile_cached);
+        let xml = resp.xml;
         assert!(xml.contains("<title>Z</title>"), "{xml}");
         assert!(!xml.contains("<title>X</title>"), "{xml}");
+        assert!(compiled_from_cache(&engine, &req));
     }
 
     #[test]

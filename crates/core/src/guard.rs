@@ -8,14 +8,16 @@
 
 use crate::algebra::{lower, optimize, Op};
 use crate::analysis::analyze_loss;
+use crate::analysis::loss::check_theorems;
 use crate::error::{MorphError, MorphResult};
 use crate::lang::ast::{Ast, CastMode};
 use crate::lang::parse;
+use crate::model::shape::AdornedShape;
 use crate::render::{render, RenderOptions};
 use crate::report::{GuardTyping, LabelReport, LossReport};
-use crate::semantics::eval::{eval_guard, EvalCtx};
+use crate::semantics::eval::{eval_guard, DistOracle, EvalCtx};
 use crate::semantics::shape::Shape;
-use crate::store::shredded::ShreddedDoc;
+use crate::store::shredded::{ShreddedDoc, Snapshot};
 use xmorph_pagestore::Store;
 
 /// A parsed, reusable query guard.
@@ -48,14 +50,30 @@ impl GuardAnalysis {
 
     /// Enforce the typing discipline: error unless permitted.
     pub(crate) fn enforce(&self) -> MorphResult<()> {
-        if self.permitted() {
-            Ok(())
-        } else {
-            Err(MorphError::Rejected {
-                typing: self.loss.typing,
-                allowed: self.allowed.describe(),
-            })
-        }
+        self.allowed.enforce(self.loss.typing)
+    }
+}
+
+/// The part of a guard's compile phase a query needs: the target shape
+/// to render, the typing class, and the classes the casts admit. This
+/// is what the per-snapshot compile cache holds
+/// ([`Snapshot::compiled_guard`]); the label report and the loss
+/// findings of a full [`GuardAnalysis`] are not kept, since serving only
+/// enforces the class.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledGuard {
+    /// The generated target shape (with predicted cardinalities).
+    pub target: Shape,
+    /// The typing class the loss analysis assigned.
+    pub typing: GuardTyping,
+    /// Which typing classes the guard's CAST wrappers admit.
+    pub allowed: AllowedTypings,
+}
+
+impl CompiledGuard {
+    /// Enforce the typing discipline: error unless permitted.
+    pub(crate) fn enforce(&self) -> MorphResult<()> {
+        self.allowed.enforce(self.typing)
     }
 }
 
@@ -80,6 +98,17 @@ impl AllowedTypings {
             GuardTyping::Narrowing => self.narrowing || self.weak,
             GuardTyping::Widening => self.widening || self.weak,
             GuardTyping::Weak => self.weak,
+        }
+    }
+
+    fn enforce(&self, typing: GuardTyping) -> MorphResult<()> {
+        if self.permits(typing) {
+            Ok(())
+        } else {
+            Err(MorphError::Rejected {
+                typing,
+                allowed: self.describe(),
+            })
         }
     }
 
@@ -165,12 +194,26 @@ impl Guard {
     /// the data already in shape / can it be transformed safely?" check
     /// a query evaluator runs before each query.
     pub fn analyze(&self, doc: &ShreddedDoc) -> MorphResult<GuardAnalysis> {
-        let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(doc);
+        self.analyze_over(doc.shape(), doc)
+    }
+
+    /// [`Guard::analyze`] against a pinned [`Snapshot`]: the same
+    /// compile phase, but evaluated on the snapshot's frozen shape and
+    /// columns so analysis and the render that follows read one epoch.
+    pub fn analyze_snapshot(&self, snap: &Snapshot) -> MorphResult<GuardAnalysis> {
+        self.analyze_over(snap.shape(), snap)
+    }
+
+    fn analyze_over(
+        &self,
+        shape: &AdornedShape,
+        oracle: &dyn DistOracle,
+    ) -> MorphResult<GuardAnalysis> {
+        let src = Shape::from_adorned(shape);
+        let mut ctx = EvalCtx::new(oracle);
         let target = eval_guard(&self.op, &src, &mut ctx)?;
         let loss = analyze_loss(&src, &target, |s| {
-            doc.shape()
-                .instance_count(crate::model::types::TypeId(s as u32))
+            shape.instance_count(crate::model::types::TypeId(s as u32))
         });
         Ok(GuardAnalysis {
             target,
@@ -180,26 +223,18 @@ impl Guard {
         })
     }
 
-    /// [`Guard::analyze`] against a pinned [`Snapshot`]: the same
-    /// compile phase, but evaluated on the snapshot's frozen shape and
-    /// columns so analysis and the render that follows read one epoch.
-    ///
-    /// [`Snapshot`]: crate::store::shredded::Snapshot
-    pub fn analyze_snapshot(
-        &self,
-        snap: &crate::store::shredded::Snapshot,
-    ) -> MorphResult<GuardAnalysis> {
+    /// The compile phase a query runs against a pinned [`Snapshot`]: ξ
+    /// and the Theorem 1/2 checks, kept as a [`CompiledGuard`]. It skips
+    /// what only the reports need (the subsetting list), and does not
+    /// enforce, so a rejected guard compiles like any other.
+    pub(crate) fn compile_snapshot(&self, snap: &Snapshot) -> MorphResult<CompiledGuard> {
         let src = Shape::from_adorned(snap.shape());
         let mut ctx = EvalCtx::new(snap);
         let target = eval_guard(&self.op, &src, &mut ctx)?;
-        let loss = analyze_loss(&src, &target, |s| {
-            snap.shape()
-                .instance_count(crate::model::types::TypeId(s as u32))
-        });
-        Ok(GuardAnalysis {
+        let typing = check_theorems(&src, &target).typing;
+        Ok(CompiledGuard {
             target,
-            labels: ctx.labels,
-            loss,
+            typing,
             allowed: self.allowed(),
         })
     }

@@ -231,25 +231,34 @@ impl Shape {
     /// cardinalities down to `b`. Nodes in different trees relate through
     /// the virtual forest root, so `b`'s own root-edge cardinality (the
     /// absolute instance count) joins the product.
+    ///
+    /// Allocation-free: the deeper of the two walks up until both sit
+    /// at the same depth, then both walk up together until they meet.
     pub fn path_card(&self, a: SId, b: SId) -> Option<Card> {
-        let mut anc = vec![false; self.nodes.len()];
-        let mut cur = Some(a);
-        while let Some(c) = cur {
-            anc[c] = true;
-            cur = self.nodes[c].parent;
-        }
+        let (mut a, mut b) = (a, b);
+        let (mut da, mut db) = (self.depth(a), self.depth(b));
         let mut card = Card::one();
-        let mut cur = b;
-        loop {
-            if anc[cur] {
-                return Some(card);
-            }
-            card = card.mul(self.nodes[cur].card);
-            match self.nodes[cur].parent {
-                Some(p) => cur = p,
-                None => return Some(card), // via the virtual forest root
+        while da > db {
+            a = self.nodes[a]
+                .parent
+                .expect("node below depth 0 has a parent");
+            da -= 1;
+        }
+        while db > da {
+            card = card.mul(self.nodes[b].card);
+            b = self.nodes[b]
+                .parent
+                .expect("node below depth 0 has a parent");
+            db -= 1;
+        }
+        while a != b {
+            card = card.mul(self.nodes[b].card);
+            match (self.nodes[a].parent, self.nodes[b].parent) {
+                (Some(pa), Some(pb)) => (a, b) = (pa, pb),
+                _ => break, // two roots: via the virtual forest root
             }
         }
+        Some(card)
     }
 
     /// Deep-copy the subtree rooted at `n` (children and filters) into

@@ -34,6 +34,7 @@
 //! implementations for cross-checking and ablation.
 
 use crate::error::{MorphError, MorphResult, StoreOpExt};
+use crate::guard::CompiledGuard;
 use crate::model::shape::{AdornedShape, ShapeBuilder};
 use crate::model::types::{TypeId, TypeTable};
 use crate::semantics::eval::DistOracle;
@@ -1890,6 +1891,9 @@ impl ShreddedDoc {
             // mutation time), so seeding from them is sound.
             dist_cache: Mutex::new(self.dist_cache.lock().unwrap().clone()),
             plan_cache: RwLock::new(self.plan_cache.read().unwrap().clone()),
+            // Compiled guards read the epoch's shape and distances, so
+            // each snapshot starts empty and the cache retires with it.
+            compiled: RwLock::new(HashMap::new()),
             shared: Arc::clone(&self.shared),
         });
         let mut live = self.shared.live.lock().unwrap();
@@ -2551,8 +2555,18 @@ pub struct Snapshot {
     dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
     #[allow(clippy::type_complexity)]
     plan_cache: RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
+    /// Compiled guards by guard text, at most [`COMPILE_CACHE_CAP`].
+    /// Keyed by client-supplied text, so it keeps the default
+    /// (DoS-resistant) hasher.
+    compiled: RwLock<HashMap<String, Arc<CompiledGuard>>>,
     shared: Arc<DocShared>,
 }
+
+/// Most distinct guards one snapshot's compile cache holds. Once full,
+/// the cache keeps serving its entries and further guards compile on
+/// every query without being kept, until the epoch moves and the next
+/// snapshot starts with an empty cache.
+pub const COMPILE_CACHE_CAP: usize = 64;
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -2583,6 +2597,45 @@ impl Snapshot {
     /// Number of instances of a type at the snapshot's epoch.
     pub fn instance_count(&self, t: TypeId) -> u64 {
         self.shape.instance_count(t)
+    }
+
+    /// The compiled form of the guard text `guard`, if a query at this
+    /// snapshot's epoch already compiled it.
+    pub(crate) fn compiled_guard(&self, guard: &str) -> Option<Arc<CompiledGuard>> {
+        self.compiled
+            .read()
+            .expect("compile cache lock poisoned")
+            .get(guard)
+            .cloned()
+    }
+
+    /// Keep `compiled` as the compiled form of `guard` for the rest of
+    /// this epoch and return the entry to use: when another query
+    /// inserted the same text first, its entry wins. A full cache (see
+    /// [`COMPILE_CACHE_CAP`]) inserts nothing.
+    pub(crate) fn cache_compiled(
+        &self,
+        guard: &str,
+        compiled: CompiledGuard,
+    ) -> Arc<CompiledGuard> {
+        let compiled = Arc::new(compiled);
+        let mut cache = self.compiled.write().expect("compile cache lock poisoned");
+        if let Some(hit) = cache.get(guard) {
+            return Arc::clone(hit);
+        }
+        if cache.len() < COMPILE_CACHE_CAP {
+            cache.insert(guard.to_string(), Arc::clone(&compiled));
+        }
+        compiled
+    }
+
+    /// Distinct guards in this snapshot's compile cache.
+    #[cfg(test)]
+    pub(crate) fn compiled_guards(&self) -> usize {
+        self.compiled
+            .read()
+            .expect("compile cache lock poisoned")
+            .len()
     }
 
     /// Footprint of the columns this snapshot holds resolved (see

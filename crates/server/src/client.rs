@@ -1,8 +1,8 @@
 //! A minimal blocking client for the framed protocol.
 //!
-//! One [`Client`] owns one TCP connection (one server-side session —
-//! the server caches guard parses per connection, so reusing a client
-//! for a repeated guard skips the parse). The client is deliberately
+//! One [`Client`] owns one TCP connection (one server-side session;
+//! compiled guards are cached server-side per document epoch, for all
+//! connections alike). The client is deliberately
 //! thin: requests block until the reply frame arrives, and overload
 //! surfaces as [`Reply::Busy`] for the caller to back off on.
 

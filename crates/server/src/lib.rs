@@ -16,8 +16,8 @@
 //!   decoders.
 //! * [`server`] — accept/admit/dispatch/drain: a [`Server`] registers
 //!   named [`xmorph_core::Engine`]s, admits a bounded number of
-//!   connections, runs each query through a per-connection
-//!   [`xmorph_core::Session`] (guard parses cached per connection),
+//!   connections, runs each query through [`xmorph_core::Engine::query`]
+//!   (compiled guards cached per epoch and shared by all connections),
 //!   answers overload with `BUSY`, and shuts down by draining in-flight
 //!   work before closing every store.
 //! * [`client`] — a thin blocking [`Client`] used by the CLI, the

@@ -40,7 +40,7 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use xmorph_core::{Dewey, Engine, MorphError, Mutation, MutationOutcome, QueryRequest, Session};
+use xmorph_core::{Dewey, Engine, MorphError, Mutation, MutationOutcome, QueryRequest};
 
 /// Serving knobs. The defaults suit tests and benches; the CLI maps
 /// flags onto these.
@@ -515,10 +515,6 @@ fn send_error(stream: &mut TcpStream, code: ErrorCode, message: String) -> bool 
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared, _permit: SessionPermit) {
     let _ = stream.set_nodelay(true);
-    // Per-connection sessions, one per store actually queried — the
-    // guard cache lives here, so a client replaying its guard parses
-    // it once per connection, not once per request.
-    let mut sessions: HashMap<String, Session<'_>> = HashMap::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = send_error(
@@ -551,7 +547,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, _permit: SessionPer
                 return;
             }
             ReadOutcome::Frame(frame) => {
-                if !dispatch(&mut stream, shared, &mut sessions, frame) {
+                if !dispatch(&mut stream, shared, frame) {
                     return;
                 }
             }
@@ -561,12 +557,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, _permit: SessionPer
 
 /// Handle one well-formed frame; returns `false` when the connection
 /// should close.
-fn dispatch<'a>(
-    stream: &mut TcpStream,
-    shared: &'a Shared,
-    sessions: &mut HashMap<String, Session<'a>>,
-    frame: Frame,
-) -> bool {
+fn dispatch(stream: &mut TcpStream, shared: &Shared, frame: Frame) -> bool {
     match frame.opcode {
         OpCode::Ping => write_frame(stream, OpCode::Pong, &[]).is_ok(),
         OpCode::ListStores => {
@@ -607,7 +598,7 @@ fn dispatch<'a>(
             write_frame(stream, OpCode::StatsReply, &stats.encode()).is_ok()
         }
         OpCode::Query | OpCode::XQuery => {
-            handle_query(stream, shared, sessions, frame.opcode, &frame.payload)
+            handle_query(stream, shared, frame.opcode, &frame.payload)
         }
         OpCode::Update | OpCode::Insert | OpCode::Delete => {
             handle_write(stream, shared, frame.opcode, &frame.payload)
@@ -651,13 +642,7 @@ fn error_code(e: &MorphError) -> ErrorCode {
     }
 }
 
-fn handle_query<'a>(
-    stream: &mut TcpStream,
-    shared: &'a Shared,
-    sessions: &mut HashMap<String, Session<'a>>,
-    opcode: OpCode,
-    payload: &[u8],
-) -> bool {
+fn handle_query(stream: &mut TcpStream, shared: &Shared, opcode: OpCode, payload: &[u8]) -> bool {
     let req = match QueryPayload::decode(payload) {
         Ok(p) => p,
         Err(e) => {
@@ -708,26 +693,21 @@ fn handle_query<'a>(
     }
     let query = builder.build();
 
-    // Lazily bind this connection's session for the store. The
-    // registry cannot be queried while a session for the same store is
-    // borrowed mutably, so resolve the engine reference first.
-    if !sessions.contains_key(&req.store) {
-        let Some(engine) = shared.registry.get(&req.store) else {
-            shared
-                .metrics
-                .queries_failed
-                .fetch_add(1, Ordering::Relaxed);
-            return send_error(
-                stream,
-                ErrorCode::UnknownStore,
-                format!("no store named {:?}", req.store),
-            );
-        };
-        sessions.insert(req.store.clone(), engine.session());
-    }
-    let session = sessions.get_mut(&req.store).expect("session just inserted");
+    let Some(engine) = shared.registry.get(&req.store) else {
+        shared
+            .metrics
+            .queries_failed
+            .fetch_add(1, Ordering::Relaxed);
+        return send_error(
+            stream,
+            ErrorCode::UnknownStore,
+            format!("no store named {:?}", req.store),
+        );
+    };
 
-    match session.query(&query) {
+    // Compiled guards are cached per epoch on the engine's pinned
+    // snapshot, shared by every connection.
+    match engine.query(&query) {
         Ok(resp) => {
             shared.metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
             let result = ResultPayload {
