@@ -33,7 +33,7 @@ fn bench_compile_only(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("analyze", factor), &factor, |b, _| {
             b.iter(|| {
                 let guard = xmorph_core::Guard::parse("MUTATE site").unwrap();
-                guard.analyze(&prep.doc).unwrap()
+                guard.analyze(&prep.doc.snapshot()).unwrap()
             })
         });
     }

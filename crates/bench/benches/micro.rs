@@ -88,7 +88,7 @@ fn bench_core(c: &mut Criterion) {
     });
     let guard = Guard::parse("MORPH person [ name emailaddress ]").unwrap();
     group.bench_function("guard_analyze", |b| {
-        b.iter(|| black_box(guard.analyze(&doc).unwrap()))
+        b.iter(|| black_box(guard.analyze(&doc.snapshot()).unwrap()))
     });
     group.finish();
 }

@@ -14,18 +14,19 @@
 use std::time::{Duration, Instant};
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::table::{mb, secs, Table};
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::{Guard, ShreddedDoc};
 use xmorph_datagen::DblpConfig;
 
 fn timed_render(doc: &ShreddedDoc, guard: &Guard, pipelined: bool) -> (Duration, usize) {
-    let analysis = guard.analyze(doc).expect("analyze");
+    let snap = doc.snapshot();
+    let analysis = guard.analyze(&snap).expect("analyze");
     let opts = RenderOptions {
         pipelined,
         ..Default::default()
     };
     let t = Instant::now();
-    let out = render(doc, &analysis.target, &opts).expect("render");
+    let out = render_snapshot(&snap, &analysis.target, &opts).expect("render");
     (t.elapsed(), out.len())
 }
 
@@ -91,7 +92,7 @@ fn main() {
         let (render_time, arch1_bytes) = timed_render(&doc, &nav_guard, true);
         // Architecture #2: compile the guard to an XQuery view and run it
         // on the stored original document.
-        let analysis = nav_guard.analyze(&doc).expect("analyze");
+        let analysis = nav_guard.analyze(&doc.snapshot()).expect("analyze");
         let view = xmorph_core::render::guard_to_xquery_view(&doc, &analysis.target, "doc.xml")
             .expect("navigable guard");
         let db = xmorph_xqlite::XqliteDb::in_memory();

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use xmorph_bench::alloc::{allocated_bytes, peak_bytes, reset_peak, CountingAlloc};
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::table::{mb, secs, Table};
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::{Guard, ShredOptions, ShreddedDoc};
 use xmorph_datagen::XmarkConfig;
 
@@ -92,10 +92,12 @@ fn measure(factor: f64, budget: usize) -> SizePoint {
 
     let t1 = Instant::now();
     let guard = Guard::parse("MUTATE site").expect("parse guard");
-    let analysis = guard.analyze(&doc).expect("analyze");
+    let snap = doc.snapshot();
+    let analysis = guard.analyze(&snap).expect("analyze");
     let compile = t1.elapsed();
     let t2 = Instant::now();
-    let output = render(&doc, &analysis.target, &RenderOptions::default()).expect("render");
+    let output =
+        render_snapshot(&snap, &analysis.target, &RenderOptions::default()).expect("render");
     let render_time = t2.elapsed();
     let output_bytes = output.len();
     drop(output);

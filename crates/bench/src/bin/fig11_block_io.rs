@@ -7,7 +7,7 @@ use std::time::Duration;
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::sampler::Sampler;
 use xmorph_bench::table::Table;
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::{Guard, ShreddedDoc};
 use xmorph_datagen::XmarkConfig;
 
@@ -23,8 +23,9 @@ fn main() {
     let doc = ShreddedDoc::shred_str(&bench_store.store, &xml).expect("shred");
     bench_store.store.flush().expect("flush");
     let guard = Guard::parse("MUTATE site").expect("guard");
-    let analysis = guard.analyze(&doc).expect("analyze");
-    let out = render(&doc, &analysis.target, &RenderOptions::default()).expect("render");
+    let snap = doc.snapshot();
+    let analysis = guard.analyze(&snap).expect("analyze");
+    let out = render_snapshot(&snap, &analysis.target, &RenderOptions::default()).expect("render");
 
     let samples = sampler.finish();
     let mut table = Table::new(&["elapsed s", "blocks read", "blocks written", "cumulative"]);

@@ -10,7 +10,7 @@ use xmorph_bench::alloc::CountingAlloc;
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::sampler::Sampler;
 use xmorph_bench::table::Table;
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::{Guard, ShreddedDoc};
 use xmorph_datagen::XmarkConfig;
 
@@ -31,8 +31,9 @@ fn main() {
     drop(xml); // the source text is no longer needed once shredded
     bench_store.store.flush().expect("flush");
     let guard = Guard::parse("MUTATE site").expect("guard");
-    let analysis = guard.analyze(&doc).expect("analyze");
-    let out = render(&doc, &analysis.target, &RenderOptions::default()).expect("render");
+    let snap = doc.snapshot();
+    let analysis = guard.analyze(&snap).expect("analyze");
+    let out = render_snapshot(&snap, &analysis.target, &RenderOptions::default()).expect("render");
     let out_len = out.len();
     drop(out);
 

@@ -41,7 +41,7 @@
 use std::time::Instant;
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::table::Table;
-use xmorph_core::{OpenOptions, ShredOptions, ShreddedDoc, TypeId};
+use xmorph_core::{OpenOptions, Preload, ShredOptions, ShreddedDoc, Snapshot, TypeId, TypeTable};
 use xmorph_datagen::XmarkConfig;
 use xmorph_pagestore::Store;
 use xmorph_xml::dewey::Dewey;
@@ -97,7 +97,7 @@ fn main() {
 
     let bench_store = BenchStore::create(StoreKind::Memory, 4096);
     let doc = ShreddedDoc::shred_str(&bench_store.store, &xml).expect("shred");
-    let joins = bench_joins(&doc, iters);
+    let joins = bench_joins(&doc.snapshot(), iters);
 
     let mut table = Table::new(&[
         "join pair",
@@ -332,11 +332,11 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         .capacity(4096)
         .open(&path)
         .expect("reopen store");
-    let mut doc = ShreddedDoc::open(&store).expect("open doc");
+    // Warm every column from its persisted segment, so updates take
+    // the cached-column merge path.
+    let mut doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(Preload::All))
+        .expect("open doc");
     let types: Vec<TypeId> = doc.types().ids().collect();
-    for &t in &types {
-        doc.column(t); // warm every column from its persisted segment
-    }
     let types_total = types.len();
     let nodes_total = doc.shape().total_instances();
     let target = (nodes_total / 100).max(1) as usize;
@@ -377,12 +377,13 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
     }
     let update_s = updated as f64 / best_rate_upd.max(1e-9);
 
-    // One read settles a whole burst's deferred merge; the merged
-    // column must agree with the B+tree row for row.
+    // Publishing the next snapshot settles a whole burst's deferred
+    // merge; the merged column must agree with the B+tree row for row.
+    let snap = doc.snapshot();
     for &t in &by_count[..touched] {
         assert_eq!(
-            doc.scan_type(t),
-            doc.scan_type_btree(t),
+            snap.scan_type(t),
+            snap.scan_type_btree(t),
             "post-update merge divergence for {t:?}"
         );
     }
@@ -390,14 +391,15 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
     // B+tree everywhere before timing.
     let mut probe_targets = Vec::new();
     for &(ppath, cpath) in JOIN_PAIRS {
-        let (Some(pt), Some(ct)) = (lookup(&doc, ppath), lookup(&doc, cpath)) else {
+        let (Some(pt), Some(ct)) = (lookup(snap.types(), ppath), lookup(snap.types(), cpath))
+        else {
             continue;
         };
-        let parents = doc.scan_type(pt);
+        let parents = snap.scan_type(pt);
         for (p, _) in &parents {
             assert_eq!(
-                doc.closest_children(p, pt, ct),
-                doc.closest_children_btree(p, pt, ct),
+                snap.closest_children(p, pt, ct),
+                snap.closest_children_btree(p, pt, ct),
                 "post-update columnar/btree divergence at {p}"
             );
         }
@@ -407,14 +409,15 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         let mut probes = 0usize;
         for (pt, ct, parents) in &probe_targets {
             for (p, _) in parents {
-                doc.closest_group(p, *pt, *ct);
+                snap.closest_group(p, *pt, *ct);
                 probes += 1;
             }
         }
         probes
     });
-    // Read after the probes: merges are deferred to the first read, so
-    // the counter only moves once the post-update scans settle them.
+    drop(snap);
+    // Read after the probes: merges are deferred to the next snapshot,
+    // so the counter only moves once publication settles them.
     let maint = doc.maintenance_stats();
 
     // The mutation dropped the touched types' stale segments, so their
@@ -434,25 +437,29 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         .capacity(4096)
         .open(&path)
         .expect("reopen after vacuum");
-    let doc = ShreddedDoc::open(&store).expect("open doc");
-    for t in doc.types().ids().collect::<Vec<_>>() {
-        doc.column(t);
-    }
+    let doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(Preload::All))
+        .expect("open doc");
     assert!(
         doc.segment_fallbacks().is_empty(),
         "segments failed validation after vacuum: {:?}",
         doc.segment_fallbacks()
     );
     let cold_redecodes = doc.maintenance_stats().column_rebuilds;
-    if let (Some(pt), Some(ct)) = (lookup(&doc, JOIN_PAIRS[0].0), lookup(&doc, JOIN_PAIRS[0].1)) {
-        for (p, _) in doc.scan_type(pt) {
+    let snap = doc.snapshot();
+    let (first_parent, first_child) = JOIN_PAIRS[0];
+    if let (Some(pt), Some(ct)) = (
+        lookup(snap.types(), first_parent),
+        lookup(snap.types(), first_child),
+    ) {
+        for (p, _) in snap.scan_type(pt) {
             assert_eq!(
-                doc.closest_children(&p, pt, ct),
-                doc.closest_children_btree(&p, pt, ct),
+                snap.closest_children(&p, pt, ct),
+                snap.closest_children_btree(&p, pt, ct),
                 "post-vacuum columnar/btree divergence at {p}"
             );
         }
     }
+    drop(snap);
     drop(doc);
     drop(store);
     std::fs::remove_file(&path).ok();
@@ -510,12 +517,13 @@ fn bench_cold_open(xml: &str) -> ColdOpen {
         ShreddedDoc::shred_str(&store, xml).expect("shred");
         store.close().expect("close");
     }
-    let touch_all = |doc: &ShreddedDoc| -> usize {
-        let mut rows = 0usize;
-        for t in doc.types().ids().collect::<Vec<_>>() {
-            rows += doc.column(t).len();
-        }
-        rows
+    // Every column loads into the document cache before `open_with`
+    // returns; count the rows through a snapshot of that cache.
+    let open_all = |store: &Store, opts: OpenOptions| -> (ShreddedDoc, usize) {
+        let doc = ShreddedDoc::open_with(store, &opts.preload(Preload::All)).expect("open doc");
+        let snap = doc.snapshot();
+        let rows = doc.types().ids().map(|t| snap.column(t).len()).sum();
+        (doc, rows)
     };
     // Persisted-segment side.
     let store = Store::options()
@@ -523,8 +531,7 @@ fn bench_cold_open(xml: &str) -> ColdOpen {
         .open(&path)
         .expect("reopen store");
     let t = Instant::now();
-    let doc = ShreddedDoc::open(&store).expect("open doc");
-    let rows = touch_all(&doc);
+    let (doc, rows) = open_all(&store, OpenOptions::builder());
     let persisted_s = t.elapsed().as_secs_f64();
     assert!(
         doc.segment_fallbacks().is_empty(),
@@ -541,9 +548,7 @@ fn bench_cold_open(xml: &str) -> ColdOpen {
         .open(&path)
         .expect("reopen store");
     let t = Instant::now();
-    let doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().persisted_columns(false))
-        .expect("open doc");
-    let rows_rebuilt = touch_all(&doc);
+    let (doc, rows_rebuilt) = open_all(&store, OpenOptions::builder().persisted_columns(false));
     let rebuild_s = t.elapsed().as_secs_f64();
     assert_eq!(rows, rows_rebuilt, "cold-open paths disagree on row count");
     let rebuild_bytes = doc.column_bytes();
@@ -564,8 +569,7 @@ fn bench_cold_open(xml: &str) -> ColdOpen {
         .capacity(4096)
         .open(&path)
         .expect("reopen store");
-    let doc = ShreddedDoc::open(&store).expect("open doc");
-    let rows_v1 = touch_all(&doc);
+    let (doc, rows_v1) = open_all(&store, OpenOptions::builder());
     assert_eq!(rows, rows_v1, "v1 cold open disagrees on row count");
     assert!(
         doc.segment_fallbacks().is_empty(),
@@ -647,15 +651,15 @@ impl JoinBench {
     }
 }
 
-fn lookup(doc: &ShreddedDoc, dotted: &str) -> Option<TypeId> {
+fn lookup(types: &TypeTable, dotted: &str) -> Option<TypeId> {
     let path: Vec<String> = dotted.split('.').map(|s| s.to_string()).collect();
-    doc.types().lookup(&path)
+    types.lookup(&path)
 }
 
-fn bench_joins(doc: &ShreddedDoc, iters: usize) -> Vec<JoinBench> {
+fn bench_joins(doc: &Snapshot, iters: usize) -> Vec<JoinBench> {
     let mut out = Vec::new();
     for &(ppath, cpath) in JOIN_PAIRS {
-        let (Some(pt), Some(ct)) = (lookup(doc, ppath), lookup(doc, cpath)) else {
+        let (Some(pt), Some(ct)) = (lookup(doc.types(), ppath), lookup(doc.types(), cpath)) else {
             println!("skipping {ppath} -> {cpath}: type missing at this scale");
             continue;
         };
@@ -690,9 +694,7 @@ fn bench_joins(doc: &ShreddedDoc, iters: usize) -> Vec<JoinBench> {
         drop((batch_col, batch_ranges));
         let probes = parents.len() * iters;
 
-        // The columnar side rebuilds its own columns (first pass);
-        // best-of-passes reports the hot path on both sides.
-        doc.evict_columns();
+        // Best-of-passes reports the hot path on every side.
         let mut touched = 0usize;
         let columnar = best_rate(iters, || {
             let mut n = 0;

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use xmorph_bench::harness::{prepare, StoreKind};
 use xmorph_bench::table::Table;
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::{Engine, Guard, Mutation, QueryRequest};
 use xmorph_datagen::XmarkConfig;
 use xmorph_pagestore::Store;
@@ -171,9 +171,10 @@ fn parallel_eval(scale: f64) {
         // Sequential baseline via the raw renderer — the primitive the
         // Engine's partitioned render must stay byte-identical to.
         let guard = Guard::parse(guard_text).expect("guard");
-        let analysis = guard.analyze(&engine.doc()).expect("analyze");
+        let snap = engine.snapshot();
+        let analysis = guard.analyze(&snap).expect("analyze");
         let (sequential, seq_time) = timed(|| {
-            render(&engine.doc(), &analysis.target, &RenderOptions::default()).expect("render")
+            render_snapshot(&snap, &analysis.target, &RenderOptions::default()).expect("render")
         });
         table.row(&[
             guard_text.to_string(),

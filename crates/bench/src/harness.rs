@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::semantics::shape::Shape;
 use xmorph_core::{Guard, ShreddedDoc};
 use xmorph_pagestore::{IoStats, Store};
@@ -106,11 +106,13 @@ pub fn run_morph(xml: &str, guard_text: &str, kind: StoreKind) -> MorphRun {
 
     let t1 = Instant::now();
     let guard = Guard::parse(guard_text).expect("parse guard");
-    let analysis = guard.analyze(&doc).expect("analyze");
+    let snap = doc.snapshot();
+    let analysis = guard.analyze(&snap).expect("analyze");
     let compile = t1.elapsed();
 
     let t2 = Instant::now();
-    let output = render(&doc, &analysis.target, &RenderOptions::default()).expect("render");
+    let output =
+        render_snapshot(&snap, &analysis.target, &RenderOptions::default()).expect("render");
     let render_time = t2.elapsed();
 
     let output_elements = count_open_tags(&output);
@@ -173,10 +175,12 @@ pub fn prepare(xml: &str, kind: StoreKind) -> PreparedDoc {
 pub fn run_guard_on(prep: &PreparedDoc, guard_text: &str) -> (Duration, Duration, usize, usize) {
     let t1 = Instant::now();
     let guard = Guard::parse(guard_text).expect("parse guard");
-    let analysis = guard.analyze(&prep.doc).expect("analyze");
+    let snap = prep.doc.snapshot();
+    let analysis = guard.analyze(&snap).expect("analyze");
     let compile = t1.elapsed();
     let t2 = Instant::now();
-    let output = render(&prep.doc, &analysis.target, &RenderOptions::default()).expect("render");
+    let output =
+        render_snapshot(&snap, &analysis.target, &RenderOptions::default()).expect("render");
     let render_time = t2.elapsed();
     let elements = count_open_tags(&output);
     (compile, render_time, output.len(), elements)
@@ -186,7 +190,7 @@ pub fn run_guard_on(prep: &PreparedDoc, guard_text: &str) -> (Duration, Duration
 /// inspecting predicted shapes in the binaries).
 pub fn target_shape(prep: &PreparedDoc, guard_text: &str) -> Shape {
     let guard = Guard::parse(guard_text).expect("parse guard");
-    guard.analyze(&prep.doc).expect("analyze").target
+    guard.analyze(&prep.doc.snapshot()).expect("analyze").target
 }
 
 /// The baseline: store a document in the eXist-like DBMS and time the

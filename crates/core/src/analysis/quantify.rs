@@ -18,7 +18,7 @@
 //! under both, reusing closest edges that already existed in the source.
 
 use crate::error::{MorphError, MorphResult};
-use crate::render::{render, RenderOptions};
+use crate::render::{render_snapshot, RenderOptions};
 use crate::semantics::shape::Shape;
 use crate::store::shredded::ShreddedDoc;
 use std::collections::{BTreeMap, BTreeSet};
@@ -127,8 +127,8 @@ impl fmt::Display for QuantifiedLoss {
 /// Measure the actual information loss of rendering `target` against
 /// `doc`.
 pub fn quantify(doc: &ShreddedDoc, target: &Shape) -> MorphResult<QuantifiedLoss> {
-    let out = render(
-        doc,
+    let out = render_snapshot(
+        &doc.snapshot(),
         target,
         &RenderOptions {
             wrapper: Some("q".into()),
@@ -192,7 +192,10 @@ mod tests {
     fn analyze(guard: &str, xml: &str) -> (Store, ShreddedDoc, GuardAnalysis) {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, xml).unwrap();
-        let analysis = Guard::parse(guard).unwrap().analyze(&doc).unwrap();
+        let analysis = Guard::parse(guard)
+            .unwrap()
+            .analyze(&doc.snapshot())
+            .unwrap();
         (store, doc, analysis)
     }
 

@@ -1,13 +1,12 @@
 //! The unified query surface: [`Engine`] / [`Session`] /
 //! [`QueryRequest`].
 //!
-//! Earlier layers of this repository accreted several ways to run a
-//! guard — [`Guard::apply_to_str`], [`Guard::apply_with`], the
-//! [`apply_parallel`]/[`render_parallel`] free functions, and direct
-//! [`ShreddedDoc`] probes. They all still work (the free functions are
-//! kept as thin `#[doc(hidden)]` wrappers), but everything that acts as
-//! a *service* — the TCP server in `xmorph-server`, the `xmorph` CLI,
-//! the scaling benchmarks — now goes through one funnel:
+//! A guard can run one-off through [`Guard::apply_to_str`] or
+//! [`Guard::apply_with`], or piecewise against a pinned [`Snapshot`]
+//! (the document's only read surface) with [`Guard::analyze`] and
+//! [`render_parallel_snapshot`]. Everything that acts as a *service* —
+//! the TCP server in `xmorph-server`, the `xmorph` CLI, the scaling
+//! benchmarks — goes through one funnel:
 //!
 //! ```
 //! use xmorph_core::{Engine, QueryRequest};
@@ -47,8 +46,6 @@
 //! of the column-cache footprint — the pages and segments *this* query
 //! touched, not store-lifetime aggregates.
 //!
-//! [`apply_parallel`]: crate::semantics::parallel::apply_parallel
-//! [`render_parallel`]: crate::semantics::parallel::render_parallel
 //! [`COMPILE_CACHE_CAP`]: crate::store::shredded::COMPILE_CACHE_CAP
 
 use crate::error::{MorphError, MorphResult};
@@ -73,7 +70,6 @@ pub struct QueryRequest {
     threads: usize,
     wrapper: Option<String>,
     collect_stats: bool,
-    column_budget: Option<usize>,
 }
 
 impl QueryRequest {
@@ -85,7 +81,6 @@ impl QueryRequest {
                 threads: 0,
                 wrapper: Some("result".to_string()),
                 collect_stats: false,
-                column_budget: None,
             },
         }
     }
@@ -137,14 +132,6 @@ impl QueryRequestBuilder {
     /// bracketing the I/O counters costs a few atomic loads).
     pub fn stats(mut self, on: bool) -> Self {
         self.req.collect_stats = on;
-        self
-    }
-
-    /// Cap the document's column cache at `bytes` for this and
-    /// subsequent queries (see [`ShreddedDoc::set_column_budget`] for
-    /// the sharing semantics).
-    pub fn column_budget(mut self, bytes: usize) -> Self {
-        self.req.column_budget = Some(bytes);
         self
     }
 
@@ -380,13 +367,7 @@ impl Engine {
         parsed: Option<&Guard>,
         req: &QueryRequest,
     ) -> MorphResult<QueryResponse> {
-        let snap = {
-            let doc = self.doc.read().unwrap();
-            if let Some(bytes) = req.column_budget {
-                doc.set_column_budget(Some(bytes));
-            }
-            doc.snapshot()
-        };
+        let snap = self.doc.read().unwrap().snapshot();
         let before_io = req.collect_stats.then(|| self.store.io_stats_snapshot());
         let before_cols = req.collect_stats.then(|| snap.column_bytes().total());
 
@@ -662,13 +643,31 @@ mod tests {
     }
 
     #[test]
-    fn column_budget_applies_to_doc() {
-        let engine = Engine::from_xml(FIG1A).unwrap();
-        let req = QueryRequest::builder("MORPH title")
-            .column_budget(1)
+    fn snapshot_reads_count_segment_fallbacks_and_rebuilds() {
+        let dir = std::env::temp_dir().join(format!("xmorph-engine-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corrupt-segments.db");
+        std::fs::remove_file(&path).ok();
+        {
+            let store = Store::create(&path).unwrap();
+            ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+            store.close().unwrap();
+        }
+        crate::store::colseg::corrupt_segments_in_file(&path);
+
+        let engine = Engine::open_path(&path).unwrap();
+        let req = QueryRequest::builder("MORPH author [ name book [ title ] ]")
+            .threads(1)
             .build();
-        engine.query(&req).unwrap();
-        assert_eq!(engine.doc().column_budget(), Some(1));
+        assert!(engine.query(&req).unwrap().xml.contains("<name>Tim</name>"));
+        // The query loaded its columns into the snapshot, not the
+        // document cache; both counters still see those loads.
+        let doc = engine.doc();
+        assert!(!doc.segment_fallbacks().is_empty());
+        assert!(doc.maintenance_stats().column_rebuilds > 0);
+        drop(doc);
+        drop(engine);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::analysis::loss::check_theorems;
 use crate::error::{MorphError, MorphResult};
 use crate::lang::ast::{Ast, CastMode};
 use crate::lang::parse;
-use crate::model::shape::AdornedShape;
-use crate::render::{render, RenderOptions};
+use crate::render::{render_snapshot, RenderOptions};
 use crate::report::{GuardTyping, LabelReport, LossReport};
-use crate::semantics::eval::{eval_guard, DistOracle, EvalCtx};
+use crate::semantics::eval::{eval_guard, EvalCtx};
 use crate::semantics::shape::Shape;
 use crate::store::shredded::{ShreddedDoc, Snapshot};
 use xmorph_pagestore::Store;
@@ -189,28 +188,15 @@ impl Guard {
         allowed
     }
 
-    /// Run the compile phase against a shredded document: evaluate ξ,
+    /// Run the compile phase against a pinned [`Snapshot`]: evaluate ξ,
     /// produce both reports, but do not render. This is the cheap "is
     /// the data already in shape / can it be transformed safely?" check
-    /// a query evaluator runs before each query.
-    pub fn analyze(&self, doc: &ShreddedDoc) -> MorphResult<GuardAnalysis> {
-        self.analyze_over(doc.shape(), doc)
-    }
-
-    /// [`Guard::analyze`] against a pinned [`Snapshot`]: the same
-    /// compile phase, but evaluated on the snapshot's frozen shape and
-    /// columns so analysis and the render that follows read one epoch.
-    pub fn analyze_snapshot(&self, snap: &Snapshot) -> MorphResult<GuardAnalysis> {
-        self.analyze_over(snap.shape(), snap)
-    }
-
-    fn analyze_over(
-        &self,
-        shape: &AdornedShape,
-        oracle: &dyn DistOracle,
-    ) -> MorphResult<GuardAnalysis> {
+    /// a query evaluator runs before each query; analysing and rendering
+    /// against one snapshot reads one epoch throughout.
+    pub fn analyze(&self, snap: &Snapshot) -> MorphResult<GuardAnalysis> {
+        let shape = snap.shape();
         let src = Shape::from_adorned(shape);
-        let mut ctx = EvalCtx::new(oracle);
+        let mut ctx = EvalCtx::new(snap);
         let target = eval_guard(&self.op, &src, &mut ctx)?;
         let loss = analyze_loss(&src, &target, |s| {
             shape.instance_count(crate::model::types::TypeId(s as u32))
@@ -244,11 +230,13 @@ impl Guard {
         self.apply_with(doc, &RenderOptions::default())
     }
 
-    /// [`Guard::apply`] with explicit render options.
+    /// [`Guard::apply`] with explicit render options. Analysis and
+    /// render run against one pinned snapshot.
     pub fn apply_with(&self, doc: &ShreddedDoc, opts: &RenderOptions) -> MorphResult<GuardOutput> {
-        let analysis = self.analyze(doc)?;
+        let snap = doc.snapshot();
+        let analysis = self.analyze(&snap)?;
         analysis.enforce()?;
-        let xml = render(doc, &analysis.target, opts)?;
+        let xml = render_snapshot(&snap, &analysis.target, opts)?;
         Ok(GuardOutput { xml, analysis })
     }
 
@@ -264,7 +252,7 @@ impl Guard {
     pub fn analyze_str(&self, xml: &str) -> MorphResult<GuardAnalysis> {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, xml)?;
-        self.analyze(&doc)
+        self.analyze(&doc.snapshot())
     }
 
     /// Measure the *actual* information loss of this guard on a concrete
@@ -272,7 +260,7 @@ impl Guard {
     /// kinds): per retained type, how many instances drop and how many
     /// duplicates are manufactured. Costs a full transformation.
     pub fn quantify(&self, doc: &ShreddedDoc) -> MorphResult<crate::analysis::QuantifiedLoss> {
-        let analysis = self.analyze(doc)?;
+        let analysis = self.analyze(&doc.snapshot())?;
         crate::analysis::quantify(doc, &analysis.target)
     }
 
@@ -281,7 +269,7 @@ impl Guard {
     /// the source shape with identical parent/child edges — in that case
     /// a query could run on the source directly.
     pub fn data_already_in_shape(&self, doc: &ShreddedDoc) -> MorphResult<bool> {
-        let analysis = self.analyze(doc)?;
+        let analysis = self.analyze(&doc.snapshot())?;
         let src = Shape::from_adorned(doc.shape());
         Ok(shape_is_fragment(&analysis.target, &src))
     }
@@ -377,6 +365,16 @@ mod tests {
         let guard = Guard::parse("CAST TYPE-FILL MUTATE nonexistent [ author ]").unwrap();
         let out = guard.apply_to_str(FIG1A).unwrap();
         assert!(out.xml.contains("<nonexistent>"), "{}", out.xml);
+    }
+
+    #[test]
+    fn restrict_under_a_swapped_ancestor_stays_acyclic() {
+        // The inner RESTRICT demotes `book` to a filter of `data`; the
+        // outer nesting then swaps `data` under `book`, which must drop
+        // that filter link rather than close a cycle.
+        let guard = Guard::parse("CAST MUTATE book [ data [ (RESTRICT data) ] ]").unwrap();
+        let out = guard.apply_to_str(FIG1A).unwrap();
+        assert!(out.xml.contains("<data/>"), "{}", out.xml);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! every direct source-backed edge of the root (element children,
 //! attribute children, and RESTRICT filters) is resolved for the *whole*
 //! root slice in one batched gallop pass over its child column
-//! ([`ShreddedDoc::closest_group_batch`]), so per-instance guard
+//! ([`Snapshot::closest_group_batch`]), so per-instance guard
 //! evaluation and child joins at the top level become plain indexed
 //! lookups into the precomputed groups. The parallel driver
 //! ([`crate::semantics::parallel`]) gets this per partition: each
@@ -22,7 +22,7 @@
 use crate::error::MorphResult;
 use crate::model::types::TypeId;
 use crate::semantics::shape::{SId, Shape};
-use crate::store::shredded::{ClosestCursor, ShreddedDoc, Snapshot, TypeColumn};
+use crate::store::shredded::{ClosestCursor, Snapshot, TypeColumn};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -65,16 +65,10 @@ struct Anchor<'d> {
     type_id: TypeId,
 }
 
-/// Render the target shape against a shredded document. Pins a
-/// [`Snapshot`] for the duration, so the whole pass reads one epoch
-/// even if a writer publishes new column versions mid-render.
-pub fn render(doc: &ShreddedDoc, target: &Shape, opts: &RenderOptions) -> MorphResult<String> {
-    render_snapshot(&doc.snapshot(), target, opts)
-}
-
-/// [`render`] against an explicitly pinned snapshot — the form the
-/// engine's query path uses so one `QueryRequest` reads one epoch
-/// across analysis and rendering.
+/// Render the target shape against a pinned snapshot, so the whole
+/// pass reads one epoch even if a writer publishes new column versions
+/// mid-render — and, on the engine's query path, the same epoch the
+/// guard was analysed against.
 pub fn render_snapshot(
     snap: &Snapshot,
     target: &Shape,
@@ -94,12 +88,12 @@ pub fn render_snapshot(
 /// flushed after every root instance, so peak memory is one instance
 /// subtree rather than the whole result.
 pub fn render_to_writer(
-    doc: &ShreddedDoc,
+    snap: &Snapshot,
     target: &Shape,
     opts: &RenderOptions,
     sink: &mut dyn std::io::Write,
 ) -> MorphResult<()> {
-    render_with(&doc.snapshot(), target, opts, |chunk| {
+    render_with(snap, target, opts, |chunk| {
         sink.write_all(chunk.as_bytes())
             .map_err(|_| crate::error::MorphError::Internal("sink write failed"))
     })
@@ -552,6 +546,7 @@ mod tests {
     use crate::algebra::lower;
     use crate::lang::parse;
     use crate::semantics::eval::{eval_guard, EvalCtx};
+    use crate::store::shredded::ShreddedDoc;
     use xmorph_pagestore::Store;
 
     const FIG1A: &str = "<data>\
@@ -566,12 +561,12 @@ mod tests {
 
     fn run(guard: &str, xml: &str) -> String {
         let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str(&store, xml).unwrap();
+        let doc = ShreddedDoc::shred_str(&store, xml).unwrap().snapshot();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let mut ctx = EvalCtx::new(&*doc);
         let op = lower(&parse(guard).unwrap());
         let tgt = eval_guard(&op, &src, &mut ctx).unwrap();
-        render(&doc, &tgt, &RenderOptions::default()).unwrap()
+        render_snapshot(&doc, &tgt, &RenderOptions::default()).unwrap()
     }
 
     #[test]
@@ -696,12 +691,12 @@ mod tests {
     #[test]
     fn tag_source_option() {
         let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+        let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap().snapshot();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let mut ctx = EvalCtx::new(&*doc);
         let op = lower(&parse("MORPH title").unwrap());
         let tgt = eval_guard(&op, &src, &mut ctx).unwrap();
-        let out = render(
+        let out = render_snapshot(
             &doc,
             &tgt,
             &RenderOptions {
@@ -727,12 +722,12 @@ mod tests {
     #[test]
     fn streaming_render_matches_buffered() {
         let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+        let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap().snapshot();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let mut ctx = EvalCtx::new(&*doc);
         let op = lower(&parse("MORPH author [ name book [ title ] ]").unwrap());
         let tgt = eval_guard(&op, &src, &mut ctx).unwrap();
-        let buffered = render(&doc, &tgt, &RenderOptions::default()).unwrap();
+        let buffered = render_snapshot(&doc, &tgt, &RenderOptions::default()).unwrap();
         let mut sink: Vec<u8> = Vec::new();
         render_to_writer(&doc, &tgt, &RenderOptions::default(), &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink).unwrap(), buffered);
@@ -741,9 +736,11 @@ mod tests {
     #[test]
     fn streaming_render_empty_result() {
         let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str(&store, "<d><a/></d>").unwrap();
+        let doc = ShreddedDoc::shred_str(&store, "<d><a/></d>")
+            .unwrap()
+            .snapshot();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let mut ctx = EvalCtx::new(&*doc);
         // RESTRICT that matches nothing yields an empty (self-closed)
         // wrapper.
         let op = lower(&parse("CAST MORPH a").unwrap());

@@ -211,7 +211,10 @@ mod tests {
     fn view_for(guard: &str, xml: &str) -> Result<String, ViewError> {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, xml).unwrap();
-        let analysis = Guard::parse(guard).unwrap().analyze(&doc).unwrap();
+        let analysis = Guard::parse(guard)
+            .unwrap()
+            .analyze(&doc.snapshot())
+            .unwrap();
         guard_to_xquery_view(&doc, &analysis.target, "doc.xml")
     }
 
@@ -220,9 +223,10 @@ mod tests {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, xml).unwrap();
         let parsed = Guard::parse(guard).unwrap();
-        let analysis = parsed.analyze(&doc).unwrap();
-        let physical = crate::render::render(
-            &doc,
+        let snap = doc.snapshot();
+        let analysis = parsed.analyze(&snap).unwrap();
+        let physical = crate::render::render_snapshot(
+            &snap,
             &analysis.target,
             &crate::render::RenderOptions::default(),
         )

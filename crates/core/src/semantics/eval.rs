@@ -106,7 +106,13 @@ pub fn eval_guard(op: &Op, src: &Shape, ctx: &mut EvalCtx<'_>) -> MorphResult<Sh
         Op::Translate(renames) => eval_translate(renames, src, ctx),
         Op::Compose(a, b) => {
             let mid = eval_guard(a, src, ctx)?;
-            eval_guard(b, &mid, ctx)
+            let mut out = eval_guard(b, &mid, ctx)?;
+            // `b` selected from `mid`, so its origins index `mid`; map
+            // them through to `src`, the shape the loss analysis reads.
+            for node in &mut out.nodes {
+                node.origin = node.origin.and_then(|o| mid.nodes[o].origin);
+            }
+            Ok(out)
         }
         Op::Cast(_, g) => eval_guard(g, src, ctx),
         Op::TypeFill(g) => {

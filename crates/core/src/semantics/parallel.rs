@@ -11,32 +11,31 @@
 //! boundary.
 //!
 //! Each partition renders on its own thread (`std::thread::scope`)
-//! against the *same* shredded document — the sharded buffer pool in
+//! against the *same* pinned snapshot — the sharded buffer pool in
 //! `xmorph-pagestore` makes the underlying page cache genuinely
 //! concurrent — and the per-partition strings are concatenated in
 //! partition order. Because every thread sees the whole document, the
 //! closest joins anchored at each instance resolve identically to the
 //! sequential pass (including joins that reach across partition
 //! boundaries), so the merged output is **byte-identical** to
-//! [`crate::render::render`] by construction. Roots that are NEW (not
-//! source-backed) instantiate once per document, not once per group, and
-//! render on a single thread.
+//! [`crate::render::render_snapshot`] by construction. Roots that are
+//! NEW (not source-backed) instantiate once per document, not once per
+//! group, and render on a single thread.
 //!
 //! Each partition's column-range slice also goes through the batched
 //! closest-join kernel: before rendering, the slice resolves every
 //! direct root edge (children, attributes, RESTRICT filters) for all of
 //! its instances in one forward gallop pass per edge
-//! ([`crate::store::shredded::ShreddedDoc::closest_group_batch`]), so
+//! ([`crate::store::shredded::Snapshot::closest_group_batch`]), so
 //! worker threads spend their time emitting output, not re-searching
 //! the child columns. The batch is per slice, so workers share nothing
 //! mutable and the byte-identity argument is unchanged.
 
 use crate::error::MorphResult;
-use crate::guard::{Guard, GuardOutput};
 use crate::render::renderer::{render_root_plain, render_root_slice};
 use crate::render::RenderOptions;
 use crate::semantics::shape::Shape;
-use crate::store::shredded::{ShreddedDoc, Snapshot};
+use crate::store::shredded::Snapshot;
 
 /// Options for the parallel driver.
 #[derive(Debug, Clone, Default)]
@@ -87,23 +86,14 @@ fn partition_bounds(n: usize, parts: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Render `target` against `doc` using multiple threads, producing
-/// output byte-identical to [`crate::render::render`] with the same
-/// options. This is the partitioned render primitive behind
+/// Render `target` against a pinned snapshot using multiple threads,
+/// producing output byte-identical to [`crate::render::render_snapshot`]
+/// with the same options. All workers share the one `&Snapshot` (it is
+/// `Sync`), so the whole fan-out reads a single epoch regardless of
+/// concurrent writers — this is what makes the engine's reads
+/// snapshot-isolated. This is the partitioned render primitive behind
 /// [`crate::engine::Engine`]; query code should go through the engine,
 /// which adds guard caching, typing enforcement, and per-query stats.
-pub fn render_parallel(
-    doc: &ShreddedDoc,
-    target: &Shape,
-    opts: &ParallelOptions,
-) -> MorphResult<String> {
-    render_parallel_snapshot(&doc.snapshot(), target, opts)
-}
-
-/// [`render_parallel`] against an explicitly pinned snapshot. All
-/// workers share the one `&Snapshot` (it is `Sync`), so the whole
-/// fan-out reads a single epoch regardless of concurrent writers —
-/// this is what makes the engine's reads snapshot-isolated.
 pub fn render_parallel_snapshot(
     doc: &Snapshot,
     target: &Shape,
@@ -167,27 +157,12 @@ pub fn render_parallel_snapshot(
     })
 }
 
-/// Analyze, enforce the typing discipline, and render in parallel — the
-/// multi-threaded counterpart of [`Guard::apply_with`]. Superseded as a
-/// query entry point by [`crate::engine::Engine::query`] (which this
-/// now mirrors); kept as a thin wrapper so existing callers and tests
-/// stay source-compatible.
-#[doc(hidden)]
-pub fn apply_parallel(
-    guard: &Guard,
-    doc: &ShreddedDoc,
-    opts: &ParallelOptions,
-) -> MorphResult<GuardOutput> {
-    let analysis = guard.analyze(doc)?;
-    analysis.enforce()?;
-    let xml = render_parallel(doc, &analysis.target, opts)?;
-    Ok(GuardOutput { xml, analysis })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::render::render;
+    use crate::guard::Guard;
+    use crate::render::render_snapshot;
+    use crate::store::shredded::ShreddedDoc;
     use xmorph_pagestore::Store;
 
     fn shred(xml: &str) -> (Store, ShreddedDoc) {
@@ -216,9 +191,11 @@ mod tests {
         let guard = Guard::parse(guard_src).unwrap();
         let (_s, doc) = shred(xml);
         let sequential = guard.apply(&doc).unwrap().xml;
+        let snap = doc.snapshot();
+        let target = guard.analyze(&snap).unwrap().target;
         for threads in [1, 2, 3, 4, 8] {
             let opts = ParallelOptions::with_threads(threads);
-            let parallel = apply_parallel(&guard, &doc, &opts).unwrap().xml;
+            let parallel = render_parallel_snapshot(&snap, &target, &opts).unwrap();
             assert_eq!(parallel, sequential, "threads={threads} guard={guard_src}");
         }
     }
@@ -262,19 +239,25 @@ mod tests {
         let guard = Guard::parse("MORPH book [ title ]").unwrap();
         let (_s, doc) = shred(&library(2));
         let sequential = guard.apply(&doc).unwrap().xml;
+        let snap = doc.snapshot();
+        let target = guard.analyze(&snap).unwrap().target;
         let opts = ParallelOptions::with_threads(16);
-        assert_eq!(apply_parallel(&guard, &doc, &opts).unwrap().xml, sequential);
+        assert_eq!(
+            render_parallel_snapshot(&snap, &target, &opts).unwrap(),
+            sequential
+        );
     }
 
     #[test]
     fn empty_result_collapses_like_stream_writer() {
         let guard = Guard::parse("MORPH book [ title ]").unwrap();
         let (_s, doc) = shred("<lib><book><title>T</title></book></lib>");
-        let mut target = guard.analyze(&doc).unwrap().target;
+        let snap = doc.snapshot();
+        let mut target = guard.analyze(&snap).unwrap().target;
         target.roots.clear();
         let opts = ParallelOptions::with_threads(4);
-        let sequential = render(&doc, &target, &opts.render).unwrap();
-        let parallel = render_parallel(&doc, &target, &opts).unwrap();
+        let sequential = render_snapshot(&snap, &target, &opts.render).unwrap();
+        let parallel = render_parallel_snapshot(&snap, &target, &opts).unwrap();
         assert_eq!(parallel, sequential);
         assert_eq!(parallel, "<result/>");
     }
@@ -283,18 +266,19 @@ mod tests {
     fn render_parallel_honours_wrapper_and_options() {
         let guard = Guard::parse("MORPH title").unwrap();
         let (_s, doc) = shred(&library(6));
-        let analysis = guard.analyze(&doc).unwrap();
+        let snap = doc.snapshot();
+        let analysis = guard.analyze(&snap).unwrap();
         let render_opts = RenderOptions {
             wrapper: Some("out".into()),
             tag_source: true,
             pipelined: false,
         };
-        let sequential = render(&doc, &analysis.target, &render_opts).unwrap();
+        let sequential = render_snapshot(&snap, &analysis.target, &render_opts).unwrap();
         let opts = ParallelOptions {
             threads: 3,
             render: render_opts,
         };
-        let parallel = render_parallel(&doc, &analysis.target, &opts).unwrap();
+        let parallel = render_parallel_snapshot(&snap, &analysis.target, &opts).unwrap();
         assert_eq!(parallel, sequential);
         assert!(parallel.starts_with("<out>"));
         assert!(parallel.contains("data-src"));

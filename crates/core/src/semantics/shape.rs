@@ -116,10 +116,13 @@ impl Shape {
         self.nodes[parent].children.push(child);
     }
 
-    /// Detach `child` from its parent (or from the root list).
+    /// Detach `child` from its parent — as a child or as a RESTRICT
+    /// filter, both of which point their `parent` at the owner — or
+    /// from the root list.
     pub fn detach(&mut self, child: SId) {
         if let Some(p) = self.nodes[child].parent.take() {
             self.nodes[p].children.retain(|&c| c != child);
+            self.nodes[p].filters.retain(|&c| c != child);
         }
         self.roots.retain(|&r| r != child);
     }

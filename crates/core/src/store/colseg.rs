@@ -500,6 +500,26 @@ fn parse_v2(
     })
 }
 
+/// Flip one payload byte of every v2 column segment in the store file
+/// at `path`, so each fails its checksum on the next open.
+#[cfg(test)]
+pub(crate) fn corrupt_segments_in_file(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let starts: Vec<usize> = bytes
+        .windows(COLSEG_MAGIC_V2.len())
+        .enumerate()
+        .filter(|(_, w)| w == COLSEG_MAGIC_V2)
+        .map(|(i, _)| i)
+        .collect();
+    assert!(!starts.is_empty(), "persisted segments present");
+    for p in starts {
+        if let Some(b) = bytes.get_mut(p + COLSEG_HEADER) {
+            *b ^= 0xff;
+        }
+    }
+    std::fs::write(path, &bytes).unwrap();
+}
+
 /// Test-only hooks for the integration suite: direct access to both
 /// on-disk encoders and the version-dispatching decoder, so property
 /// tests can drive the wire formats without a store.

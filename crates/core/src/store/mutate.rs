@@ -100,8 +100,9 @@ pub struct MaintenanceStats {
     /// Columns invalidated outright (uncached at mutation time); they
     /// rebuild lazily if and when next touched.
     pub invalidated_columns: u64,
-    /// Full column decodes from the `typeseq` tree (cache misses
-    /// without a usable persisted segment) since this handle opened.
+    /// Full column decodes from the `typeseq` tree (loads without a
+    /// usable persisted segment, into this handle's cache or any
+    /// snapshot it published) since this handle opened.
     pub column_rebuilds: u64,
 }
 
@@ -501,7 +502,7 @@ impl ShreddedDoc {
         MaintenanceStats {
             merged_columns: self.merged_columns.load(Ordering::Relaxed),
             invalidated_columns: self.invalidated_columns,
-            column_rebuilds: self.rebuilds.load(Ordering::Relaxed),
+            column_rebuilds: self.shared.rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -675,20 +676,9 @@ impl ShreddedDoc {
             for t in deltas.keys() {
                 touched.insert(*t, epoch);
             }
-            drop(touched);
-            // Scoped invalidation: a cached distance or join plan
-            // depends only on its two types' columns and instance
-            // counts, so entries where neither side moved stay exact.
-            // (Plans additionally pin a column Arc — stale for moved
-            // types, hence they retire with the same predicate.)
-            self.plan_cache
-                .write()
-                .unwrap()
-                .retain(|(a, b), _| !deltas.contains_key(a) && !deltas.contains_key(b));
-            self.dist_cache
-                .lock()
-                .unwrap()
-                .retain(|(a, b), _| !deltas.contains_key(a) && !deltas.contains_key(b));
+            // Republication carries the old snapshot's distances and
+            // join plans forward only for pairs whose types this map
+            // shows unmoved, so nothing else needs invalidating here.
         }
         for (t, delta) in deltas {
             // First touch since the last persist pays the bump: a new
@@ -775,7 +765,7 @@ mod tests {
         doc.update_text(&d("1.1.1"), "  Z  ").unwrap();
         assert_eq!(doc.node_text(&d("1.1.1")).unwrap().as_deref(), Some("Z"));
         assert_eq!(texts(&doc, "data.book.title"), ["Z", "Y"]);
-        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title));
+        assert_eq!(doc.scan_type(title), doc.snapshot().scan_type_btree(title));
         let stats = doc.maintenance_stats();
         assert_eq!(stats.merged_columns, 1);
         assert_eq!(stats.invalidated_columns, 0);
@@ -811,13 +801,13 @@ mod tests {
         assert_eq!(doc.instance_count(author), 1);
         assert_eq!(doc.instance_count(name), 1);
         assert_eq!(texts(&doc, "data.book.author.name"), ["Tim"]);
-        assert_eq!(doc.scan_type(name), doc.scan_type_btree(name));
+        assert_eq!(doc.scan_type(name), doc.snapshot().scan_type_btree(name));
         // Book 1.1 now has zero authors: the edge min must widen to 0.
         assert_eq!(doc.shape().card(author).min, 0);
         // The closest join no longer finds an author for book 1.1.
         let book = ty(&doc, "data.book");
-        assert!(!doc.has_closest_child(&d("1.1"), book, author));
-        assert!(doc.has_closest_child(&d("1.2"), book, author));
+        assert!(!doc.snapshot().has_closest_child(&d("1.1"), book, author));
+        assert!(doc.snapshot().has_closest_child(&d("1.2"), book, author));
     }
 
     #[test]
@@ -846,7 +836,7 @@ mod tests {
         // that edge's min widened to 0.
         assert_eq!(doc.shape().card(ty(&doc, "data.book.publisher")).min, 0);
         let title = ty(&doc, "data.book.title");
-        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title));
+        assert_eq!(doc.scan_type(title), doc.snapshot().scan_type_btree(title));
     }
 
     #[test]
@@ -864,7 +854,7 @@ mod tests {
         // The new type joins: the review's closest title is book 1's.
         let title = ty(&doc, "data.book.title");
         let (dewey, _) = doc.scan_type(review).remove(0);
-        let joined = doc.closest_children(&dewey, review, title);
+        let joined = doc.snapshot().closest_children(&dewey, review, title);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].1, "X");
     }
@@ -893,12 +883,16 @@ mod tests {
         assert_eq!(dewey.to_string(), format!("1.{}", 2 + GAP_STRIDE));
         assert_eq!(texts(&doc, "data.book.title"), ["X", "M", "Y"]);
         let title = ty(&doc, "data.book.title");
-        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title));
+        assert_eq!(doc.scan_type(title), doc.snapshot().scan_type_btree(title));
         // The renumbered book still joins its own title, not its
         // neighbour's.
         let publisher = ty(&doc, "data.book.publisher");
         let moved_book = doc.scan_type(ty(&doc, "data.book"))[2].0.clone();
-        let joined = doc.closest_children(&doc.scan_type(publisher)[1].0.clone(), publisher, title);
+        let joined = doc.snapshot().closest_children(
+            &doc.scan_type(publisher)[1].0.clone(),
+            publisher,
+            title,
+        );
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].1, "Y");
         assert!(moved_book.components()[1] > 2);
@@ -916,14 +910,29 @@ mod tests {
     #[test]
     fn mutations_clear_distance_cache() {
         let (_s, mut doc) = shredded("<d><a><x>1</x></a><b>2</b></d>");
+        let a = ty(&doc, "d.a");
         let b = ty(&doc, "d.b");
-        // x and b never co-occur below the root: distance via root = 3.
         let x = ty(&doc, "d.a.x");
-        assert_eq!(doc.type_distance_exact(x, b), Some(3));
-        // Insert an x inside... a new b under a: now a holds both.
+        let before = doc.snapshot();
+        // x and b never co-occur below the root: distance via root = 3.
+        assert_eq!(before.type_distance_exact(x, b), Some(3));
+        assert_eq!(before.type_distance_exact(a, x), Some(1));
+        doc.delete_subtree(&d("1.2")).unwrap();
+        // The next snapshot inherits the pair whose types did not move
+        // and drops the pair the delete touched.
+        let after = doc.snapshot();
+        let cached = |p: TypeId, q: TypeId| {
+            let key = if p <= q { (p, q) } else { (q, p) };
+            after.dist_cache.lock().unwrap().get(&key).copied()
+        };
+        assert_eq!(cached(a, x), Some(Some(1)));
+        assert_eq!(cached(x, b), None);
+        assert_eq!(after.type_distance_exact(x, b), None);
+        assert_eq!(before.type_distance_exact(x, b), Some(3));
+        // A new b under a: now a holds both.
         doc.insert_subtree(&d("1.1"), "<b>3</b>").unwrap();
         let ab = ty(&doc, "d.a.b");
-        assert_eq!(doc.type_distance_exact(x, ab), Some(2));
+        assert_eq!(doc.snapshot().type_distance_exact(x, ab), Some(2));
     }
 
     #[test]
@@ -1061,7 +1070,11 @@ mod tests {
         mutate(&mut cold);
         cold.evict_columns();
         for t in hot.types().ids().collect::<Vec<_>>() {
-            assert_eq!(hot.scan_type(t), hot.scan_type_btree(t), "hot {t:?}");
+            assert_eq!(
+                hot.scan_type(t),
+                hot.snapshot().scan_type_btree(t),
+                "hot {t:?}"
+            );
             assert_eq!(hot.scan_type(t), cold.scan_type(t), "hot vs cold {t:?}");
         }
         // Merges are deferred to the first read, so the counter is
@@ -1086,6 +1099,7 @@ mod tests {
                 .unwrap();
             doc.delete_subtree(&d("1.1.3")).unwrap();
             let check = |doc: &ShreddedDoc| {
+                let doc = doc.snapshot();
                 for a in doc.types().ids().collect::<Vec<_>>() {
                     let parents: Vec<Dewey> =
                         doc.scan_type(a).into_iter().map(|(p, _)| p).collect();

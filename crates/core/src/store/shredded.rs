@@ -43,7 +43,7 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Ordering as Cmp;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use xmorph_pagestore::{SegmentData, Store, StoreError, Tree, DEFAULT_FILL};
 use xmorph_xml::dewey::{decode_components_into, Dewey};
@@ -271,6 +271,16 @@ impl ColumnBytes {
     /// Heap and mapped together — the budget's unit of account.
     pub fn total(&self) -> usize {
         self.heap + self.mapped
+    }
+
+    /// Footprint of a column cache.
+    fn of(columns: &HashMap<TypeId, Arc<TypeColumn>, FxBuild>) -> ColumnBytes {
+        columns
+            .values()
+            .fold(ColumnBytes::default(), |acc, c| ColumnBytes {
+                heap: acc.heap + c.heap_bytes(),
+                mapped: acc.mapped + c.mapped_bytes(),
+            })
     }
 }
 
@@ -756,43 +766,20 @@ pub struct ShreddedDoc {
     /// `generation` and every current tygen). Only mutation methods
     /// (`&mut self`) advance it.
     pub(in crate::store) next_gen: u64,
-    /// Open-time knobs (see [`OpenOptions`]).
-    use_persisted: bool,
-    prefer_mmap: bool,
-    /// Column-cache budget in bytes; `usize::MAX` means unbounded.
-    /// Atomic (not a plain field) so the engine facade can retune the
-    /// budget per query on a document shared across server sessions
-    /// ([`ShreddedDoc::set_column_budget`]).
-    column_budget: AtomicUsize,
-    /// Exact typeDistance cache (the co-occurrence scan is linear; each
-    /// pair is computed at most once per document). Structural
-    /// mutations clear it.
-    pub(in crate::store) dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
-    /// Cached per-type columns — the columnar read path. Reads share
-    /// the lock; a miss takes the write lock only to publish the
+    /// Column-cache budget in bytes ([`OpenOptions::column_budget`]);
+    /// `usize::MAX` means unbounded.
+    column_budget: usize,
+    /// Cached per-type columns, kept current by the write path's
+    /// deferred merges and handed to each published snapshot. Reads
+    /// share the lock; a miss takes the write lock only to publish the
     /// freshly loaded column.
     pub(in crate::store) columns: RwLock<HashMap<TypeId, Arc<TypeColumn>, FxBuild>>,
-    /// Closest-join plan cache: per `(parent type, child type)` pair,
-    /// the precomputed join prefix length `L` (§VII) and the child
-    /// column, so a hot probe pays a single map lookup instead of a
-    /// distance lookup plus a column lookup. Cleared whenever a cached
-    /// column is evicted or replaced.
-    #[allow(clippy::type_complexity)]
-    pub(in crate::store) plan_cache:
-        RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
-    /// Persisted segments that failed validation and fell back to a
-    /// rebuild, as `"segment: reason"` lines.
-    fallbacks: Mutex<Vec<String>>,
-    /// Full column decodes from `typeseq` (cache misses without a
-    /// usable persisted segment) — the "re-decode" cost the per-type
-    /// maintenance keeps low.
-    pub(in crate::store) rebuilds: AtomicU64,
     /// Cached columns updated by sorted-run merge — counted when the
     /// deferred merge actually runs (on the first read after a burst of
     /// mutations), not per mutation.
     pub(in crate::store) merged_columns: AtomicU64,
     /// Mutation deltas awaiting their deferred merge, folded per type.
-    /// [`ShreddedDoc::column`] settles the entry for a type before
+    /// `ShreddedDoc::column` settles the entry for a type before
     /// serving it; mutations are cheap because they only fold here.
     pub(in crate::store) pending_deltas: Mutex<HashMap<TypeId, super::mutate::TypeDelta>>,
     /// Columns invalidated outright (not cached at mutation time).
@@ -812,8 +799,8 @@ pub struct ShreddedDoc {
     /// while the epoch has not moved.
     pub(in crate::store) epoch: u64,
     /// Coordination state shared with every published snapshot (the
-    /// writer gate, the per-type touch epochs, and the live-snapshot
-    /// registry the copy-on-write pin walks).
+    /// writer gate, the per-type touch epochs, the live-snapshot
+    /// registry the copy-on-write pin walks, and the column loader).
     pub(in crate::store) shared: Arc<DocShared>,
     /// The most recently published snapshot, kept so repeated
     /// [`ShreddedDoc::snapshot`] calls between mutations are one Arc
@@ -928,27 +915,80 @@ fn co_occur_columns(a: &TypeColumn, b: &TypeColumn, level: usize) -> bool {
 ///   copy-on-writes the pre-mutation column into each live snapshot
 ///   that has not resolved the touched type yet ([`ShreddedDoc`]'s
 ///   `cow_pin`), which is what makes lazy snapshot loads sound.
+/// * the column loader ([`DocShared::load_column`]) both the document
+///   cache and every snapshot fault columns in through, with the
+///   open-time knobs it obeys and the counters it keeps.
 pub(in crate::store) struct DocShared {
     pub(in crate::store) gate: RwLock<()>,
     pub(in crate::store) touched: Mutex<HashMap<TypeId, u64>>,
     pub(in crate::store) live: Mutex<Vec<Weak<Snapshot>>>,
+    store: Store,
+    typeseq: Tree,
+    /// Open-time knobs (see [`OpenOptions`]).
+    use_persisted: bool,
+    prefer_mmap: bool,
+    /// Persisted segments that failed validation and fell back to a
+    /// rebuild, as `"segment: reason"` lines.
+    fallbacks: Mutex<Vec<String>>,
+    /// Full column decodes from `typeseq` (loads without a usable
+    /// persisted segment) — the "re-decode" cost the per-type
+    /// maintenance keeps low.
+    pub(in crate::store) rebuilds: AtomicU64,
 }
 
 impl DocShared {
-    fn new() -> Arc<DocShared> {
+    fn new(
+        store: &Store,
+        typeseq: &Tree,
+        use_persisted: bool,
+        prefer_mmap: bool,
+    ) -> Arc<DocShared> {
         Arc::new(DocShared {
             gate: RwLock::new(()),
             touched: Mutex::new(HashMap::new()),
             live: Mutex::new(Vec::new()),
+            store: store.clone(),
+            typeseq: typeseq.clone(),
+            use_persisted,
+            prefer_mmap,
+            fallbacks: Mutex::new(Vec::new()),
+            rebuilds: AtomicU64::new(0),
         })
+    }
+
+    /// Load type `t`'s column (rows `width` components wide). Prefers a
+    /// persisted column segment carrying `generation` — memory-mapped
+    /// when the store and platform allow — and falls back to decoding
+    /// the `typeseq` range (one sequential scan) when the segment is
+    /// missing, stale, or corrupt; a rejected segment is recorded in
+    /// the fallback log.
+    fn load_column(&self, t: TypeId, width: usize, generation: u64) -> TypeColumn {
+        if self.use_persisted {
+            let name = colseg::segment_name(t);
+            let reason = match self.store.get_segment(&name, self.prefer_mmap) {
+                Ok(Some(seg)) => match colseg::parse(&seg, width, generation) {
+                    Ok(parsed) => return TypeColumn::from_segment(seg, parsed),
+                    Err(reason) => Some(reason.to_string()),
+                },
+                Ok(None) => None,
+                Err(e) => Some(e.to_string()),
+            };
+            if let Some(reason) = reason {
+                self.fallbacks
+                    .lock()
+                    .unwrap()
+                    .push(format!("{name}: {reason}"));
+            }
+        }
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        decode_typeseq_column(&self.typeseq, width, t)
     }
 }
 
 /// Decode one type's column straight from the `typeseq` tree — the
-/// shared fallback build both [`ShreddedDoc::column`] and
-/// [`Snapshot::column`] use when no valid persisted segment exists.
-/// Malformed entries are skipped, matching the lenient decoding of the
-/// scans this replaces.
+/// fallback build [`DocShared::load_column`] uses when no valid
+/// persisted segment exists. Malformed entries are skipped, matching
+/// the lenient decoding of the scans this replaces.
 fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> TypeColumn {
     let mut comps: Vec<u32> = Vec::new();
     let mut texts = String::new();
@@ -1507,7 +1547,15 @@ impl ShreddedDoc {
         let (generation, stale) = plan_generation(&meta)?;
         commit_meta(&meta, &shape, generation, &stale)?;
         txn.commit().in_op("commit shred transaction")?;
-        let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
+        let doc = Self::fresh_doc(
+            store,
+            nodes,
+            typeseq,
+            meta,
+            shape,
+            generation,
+            &OpenOptions::default(),
+        );
         // Column persistence flushes, which must wait for the commit.
         if opts.persist_columns && store.is_persistent() {
             doc.persist_all_columns()?;
@@ -1558,7 +1606,15 @@ impl ShreddedDoc {
             .in_op("bulk-load tree \"typeseq\"")?;
         let (generation, stale) = plan_generation(&meta)?;
         commit_meta(&meta, &shape, generation, &stale)?;
-        let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
+        let doc = Self::fresh_doc(
+            store,
+            nodes,
+            typeseq,
+            meta,
+            shape,
+            generation,
+            &OpenOptions::default(),
+        );
         if opts.persist_columns && store.is_persistent() {
             doc.persist_all_columns()?;
         }
@@ -1657,7 +1713,15 @@ impl ShreddedDoc {
 
         commit_meta(&meta, &shape, generation, &stale)?;
         drop(guard); // success: delete the spilled runs
-        let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
+        let doc = Self::fresh_doc(
+            store,
+            nodes,
+            typeseq,
+            meta,
+            shape,
+            generation,
+            &OpenOptions::default(),
+        );
         if persist {
             // Columns too large for the tee's slice of the budget fall
             // back to a per-type decode — bounded by the largest
@@ -1677,8 +1741,10 @@ impl ShreddedDoc {
         Ok(doc)
     }
 
-    /// A freshly shredded handle over the given trees: empty caches,
-    /// write-capable, epoch zero.
+    /// A handle over the given trees with the open-time knobs `opts`:
+    /// empty caches, write-capable, epoch zero. A fresh shred passes
+    /// the default options; [`ShreddedDoc::open_with`] then restores
+    /// the persisted per-type generations.
     fn fresh_doc(
         store: &Store,
         nodes: Tree,
@@ -1686,7 +1752,9 @@ impl ShreddedDoc {
         meta: Tree,
         shape: AdornedShape,
         generation: u64,
+        opts: &OpenOptions,
     ) -> ShreddedDoc {
+        let shared = DocShared::new(store, &typeseq, opts.persisted_columns, opts.mmap);
         ShreddedDoc {
             store: store.clone(),
             nodes,
@@ -1696,21 +1764,15 @@ impl ShreddedDoc {
             generation,
             tygens: Mutex::new(HashMap::new()),
             next_gen: generation + 1,
-            use_persisted: true,
-            prefer_mmap: true,
-            column_budget: AtomicUsize::new(usize::MAX),
-            dist_cache: Mutex::new(HashMap::default()),
+            column_budget: opts.column_budget.unwrap_or(usize::MAX),
             columns: RwLock::new(HashMap::default()),
-            plan_cache: RwLock::new(HashMap::default()),
-            fallbacks: Mutex::new(Vec::new()),
-            rebuilds: AtomicU64::new(0),
             merged_columns: AtomicU64::new(0),
             pending_deltas: Mutex::new(HashMap::new()),
             invalidated_columns: 0,
             dirty: HashSet::new(),
             bumped_since_persist: HashSet::new(),
             epoch: 0,
-            shared: DocShared::new(),
+            shared,
             published: Mutex::new(None),
         }
     }
@@ -1738,33 +1800,9 @@ impl ShreddedDoc {
             .and_then(|v| Some(u64::from_le_bytes(v.try_into().ok()?)))
             .unwrap_or(0);
         let tygens = load_tygens(&meta);
-        let next_gen = generation.max(tygens.values().copied().max().unwrap_or(0)) + 1;
-        let doc = ShreddedDoc {
-            store: store.clone(),
-            nodes,
-            typeseq,
-            meta,
-            shape,
-            generation,
-            tygens: Mutex::new(tygens),
-            next_gen,
-            use_persisted: opts.persisted_columns,
-            prefer_mmap: opts.mmap,
-            column_budget: AtomicUsize::new(opts.column_budget.unwrap_or(usize::MAX)),
-            dist_cache: Mutex::new(HashMap::default()),
-            columns: RwLock::new(HashMap::default()),
-            plan_cache: RwLock::new(HashMap::default()),
-            fallbacks: Mutex::new(Vec::new()),
-            rebuilds: AtomicU64::new(0),
-            merged_columns: AtomicU64::new(0),
-            pending_deltas: Mutex::new(HashMap::new()),
-            invalidated_columns: 0,
-            dirty: HashSet::new(),
-            bumped_since_persist: HashSet::new(),
-            epoch: 0,
-            shared: DocShared::new(),
-            published: Mutex::new(None),
-        };
+        let mut doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation, opts);
+        doc.next_gen = generation.max(tygens.values().copied().max().unwrap_or(0)) + 1;
+        doc.tygens = Mutex::new(tygens);
         match &opts.preload {
             Preload::None => {}
             Preload::All => doc.preload_all(),
@@ -1837,7 +1875,8 @@ impl ShreddedDoc {
     /// returns the same `Arc`. Republication after a mutation settles
     /// all pending column deltas first (snapshots only ever hold
     /// settled columns) and inherits the previous snapshot's resolved
-    /// columns for types the interim mutations did not touch.
+    /// columns, distances and join plans for types the interim
+    /// mutations did not touch.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         if let Some(snap) = self.published.lock().unwrap().as_ref() {
             if snap.epoch == self.epoch {
@@ -1864,33 +1903,48 @@ impl ShreddedDoc {
             }
         }
         let mut columns = self.columns.read().unwrap().clone();
+        let mut dist_cache = HashMap::default();
+        let mut plan_cache = HashMap::default();
         if let Some(old) = published.as_ref() {
-            // Carry over the old snapshot's lazily-resolved columns for
-            // types untouched since its epoch — they are still current,
-            // and dropping them would re-fault the whole working set
-            // after every mutation.
+            // Carry over what the old snapshot resolved for types
+            // untouched since its epoch — those entries are still
+            // current, and dropping them would re-fault the whole
+            // working set after every mutation. A distance or join plan
+            // depends only on its two types' columns and instance
+            // counts, so it carries over when neither side moved.
             let touched = self.shared.touched.lock().unwrap();
+            let unmoved = |t: &TypeId| touched.get(t).copied().unwrap_or(0) <= old.epoch;
             for (t, col) in old.columns.read().unwrap().iter() {
-                if touched.get(t).copied().unwrap_or(0) <= old.epoch {
+                if unmoved(t) {
                     columns.entry(*t).or_insert_with(|| Arc::clone(col));
                 }
             }
+            let both = |(a, b): &(TypeId, TypeId)| unmoved(a) && unmoved(b);
+            dist_cache.extend(
+                old.dist_cache
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .filter(|(k, _)| both(k))
+                    .map(|(k, v)| (*k, *v)),
+            );
+            plan_cache.extend(
+                old.plan_cache
+                    .read()
+                    .unwrap()
+                    .iter()
+                    .filter(|(k, _)| both(k))
+                    .map(|(k, v)| (*k, v.clone())),
+            );
         }
         let snap = Arc::new(Snapshot {
             epoch: self.epoch,
             shape: Arc::new(self.shape.clone()),
-            store: self.store.clone(),
-            typeseq: self.typeseq.clone(),
             generation: self.generation,
             tygens: self.tygens.lock().unwrap().clone(),
-            use_persisted: self.use_persisted,
-            prefer_mmap: self.prefer_mmap,
             columns: RwLock::new(columns),
-            // The document caches are kept current by scoped
-            // invalidation (entries touching a mutated type retire at
-            // mutation time), so seeding from them is sound.
-            dist_cache: Mutex::new(self.dist_cache.lock().unwrap().clone()),
-            plan_cache: RwLock::new(self.plan_cache.read().unwrap().clone()),
+            dist_cache: Mutex::new(dist_cache),
+            plan_cache: RwLock::new(plan_cache),
             // Compiled guards read the epoch's shape and distances, so
             // each snapshot starts empty and the cache retires with it.
             compiled: RwLock::new(HashMap::new()),
@@ -1934,16 +1988,14 @@ impl ShreddedDoc {
         }
     }
 
-    // ---- the columnar read path ----
+    // ---- the column-maintenance cache ----
 
-    /// The [`TypeColumn`] of `t`, loaded on first touch and cached.
-    /// Loading prefers a persisted column segment — memory-mapped when
-    /// the store and platform allow — and falls back to decoding the
-    /// `typeseq` range (one sequential scan) when the segment is
-    /// missing, stale, or corrupt. Malformed `typeseq` entries are
-    /// skipped, matching the lenient decoding of the scans this
-    /// replaces.
-    pub fn column(&self, t: TypeId) -> Arc<TypeColumn> {
+    /// The current [`TypeColumn`] of `t`, loaded on first touch
+    /// ([`DocShared::load_column`]) and cached, with any deferred
+    /// mutation delta merged in. This cache is what the write path
+    /// maintains and what each published snapshot starts from; reads
+    /// go through [`ShreddedDoc::snapshot`].
+    pub(in crate::store) fn column(&self, t: TypeId) -> Arc<TypeColumn> {
         // Settle deferred maintenance first: the lock is held across
         // the merge so a concurrent reader can't serve the stale
         // column while this one folds the pending delta in. The merge
@@ -1953,7 +2005,7 @@ impl ShreddedDoc {
         if let Some(delta) = pending.remove(&t) {
             let base = match self.columns.read().unwrap().get(&t) {
                 Some(col) => Arc::clone(col),
-                None => Arc::new(self.load_column(t)),
+                None => Arc::new(self.load_current(t)),
             };
             let merged = Arc::new(super::mutate::merged_column(&base, &delta));
             self.columns.write().unwrap().insert(t, Arc::clone(&merged));
@@ -1964,10 +2016,10 @@ impl ShreddedDoc {
         if let Some(col) = self.columns.read().unwrap().get(&t) {
             return Arc::clone(col);
         }
-        let built = Arc::new(self.load_column(t));
+        let built = Arc::new(self.load_current(t));
         let mut map = self.columns.write().unwrap();
         let col = Arc::clone(map.entry(t).or_insert(built));
-        let budget = self.column_budget.load(Ordering::Relaxed);
+        let budget = self.column_budget;
         if budget != usize::MAX {
             // The budget bounds *all* column memory this document keeps
             // alive, and bytes pinned by live snapshots cannot be freed
@@ -1975,30 +2027,9 @@ impl ShreddedDoc {
             // the snapshots leave over.
             let pinned = Self::pinned_beyond(&map, &self.shared);
             let effective = budget.saturating_sub(pinned);
-            if Self::enforce_budget(&mut map, effective, t) {
-                // Evicted columns must not stay pinned by cached plans.
-                self.plan_cache.write().unwrap().clear();
-            }
+            Self::enforce_budget(&mut map, effective, t);
         }
         col
-    }
-
-    /// The current column-cache budget, if bounded.
-    pub fn column_budget(&self) -> Option<usize> {
-        match self.column_budget.load(Ordering::Relaxed) {
-            usize::MAX => None,
-            b => Some(b),
-        }
-    }
-
-    /// Retune the column-cache budget on a live document (`None` lifts
-    /// the bound). Takes effect on the next column load; already-cached
-    /// columns shrink to a lowered budget the next time any column is
-    /// touched. Shared across everything holding this document — on a
-    /// served store the last query to set a budget wins.
-    pub fn set_column_budget(&self, budget: Option<usize>) {
-        self.column_budget
-            .store(budget.unwrap_or(usize::MAX), Ordering::Relaxed);
     }
 
     /// Evict cached columns (never `keep`) until the cache fits the
@@ -2008,24 +2039,15 @@ impl ShreddedDoc {
         map: &mut HashMap<TypeId, Arc<TypeColumn>, FxBuild>,
         budget: usize,
         keep: TypeId,
-    ) -> bool {
-        let total = |m: &HashMap<TypeId, Arc<TypeColumn>, FxBuild>| {
-            m.values()
-                .map(|c| c.heap_bytes() + c.mapped_bytes())
-                .sum::<usize>()
-        };
-        let mut evicted = false;
-        while total(map) > budget && map.len() > 1 {
-            let victim = map.keys().find(|&&k| k != keep).copied();
-            match victim {
-                Some(v) => {
-                    map.remove(&v);
-                    evicted = true;
-                }
-                None => break,
+    ) {
+        let bytes = |c: &TypeColumn| c.heap_bytes() + c.mapped_bytes();
+        let mut total: usize = map.values().map(|c| bytes(c)).sum();
+        while total > budget {
+            let Some(victim) = map.keys().find(|&&k| k != keep).copied() else {
+                break;
             };
+            total -= map.remove(&victim).map_or(0, |c| bytes(&c));
         }
-        evicted
     }
 
     /// Column bytes live snapshots keep alive *beyond* the entries in
@@ -2079,32 +2101,11 @@ impl ShreddedDoc {
             .unwrap_or(self.generation)
     }
 
-    fn load_column(&self, t: TypeId) -> TypeColumn {
+    /// Load `t`'s column as the store holds it now.
+    fn load_current(&self, t: TypeId) -> TypeColumn {
         let width = self.shape.types().dewey_len(t);
-        if self.use_persisted {
-            let name = colseg::segment_name(t);
-            match self.store.get_segment(&name, self.prefer_mmap) {
-                Ok(Some(seg)) => match colseg::parse(&seg, width, self.expected_generation(t)) {
-                    Ok(parsed) => return TypeColumn::from_segment(seg, parsed),
-                    Err(reason) => self.record_fallback(&name, reason),
-                },
-                Ok(None) => {}
-                Err(e) => self.record_fallback(&name, &e.to_string()),
-            }
-        }
-        self.build_column(t)
-    }
-
-    fn record_fallback(&self, segment: &str, reason: &str) {
-        self.fallbacks
-            .lock()
-            .unwrap()
-            .push(format!("{segment}: {reason}"));
-    }
-
-    fn build_column(&self, t: TypeId) -> TypeColumn {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        decode_typeseq_column(&self.typeseq, self.shape.types().dewey_len(t), t)
+        self.shared
+            .load_column(t, width, self.expected_generation(t))
     }
 
     /// Write every type's column as a persisted segment, then flush so
@@ -2159,321 +2160,31 @@ impl ShreddedDoc {
     /// serving occasional queries.
     pub fn evict_columns(&self) {
         self.columns.write().unwrap().clear();
-        self.plan_cache.write().unwrap().clear();
     }
 
     /// Bytes currently held by cached columns, split by backing (heap
     /// vs memory-mapped).
     pub fn column_bytes(&self) -> ColumnBytes {
-        let map = self.columns.read().unwrap();
-        let mut out = ColumnBytes::default();
-        for c in map.values() {
-            out.heap += c.heap_bytes();
-            out.mapped += c.mapped_bytes();
-        }
-        out
+        ColumnBytes::of(&self.columns.read().unwrap())
     }
 
-    /// Persisted column segments that failed validation on this handle
-    /// and fell back to a lazy rebuild, as `"segment: reason"` lines.
+    /// Persisted column segments that failed validation and fell back
+    /// to a lazy rebuild, as `"segment: reason"` lines — loads into this
+    /// document's cache and into every snapshot it published alike.
     /// Empty in healthy operation.
     pub fn segment_fallbacks(&self) -> Vec<String> {
-        self.fallbacks.lock().unwrap().clone()
+        self.shared.fallbacks.lock().unwrap().clone()
     }
 
     /// All instances of a type, in document order, with their direct
-    /// text. Materializes owned pairs from the column;
-    /// [`ShreddedDoc::column`] is the zero-copy variant.
+    /// text, read through the current snapshot ([`Snapshot::scan_type`]).
     pub fn scan_type(&self, t: TypeId) -> Vec<(Dewey, String)> {
-        let col = self.column(t);
-        (0..col.len())
-            .map(|i| (col.dewey(i), col.text(i).to_string()))
-            .collect()
-    }
-
-    /// Exact `typeDistance` (Def. 2): the minimum tree distance over all
-    /// instance pairs, found by scanning candidate least-common-ancestor
-    /// levels from the deepest shared path prefix upward and checking
-    /// *co-occurrence* (two instances sharing a Dewey prefix of that
-    /// length) with a sorted-merge over the two columns. Cached per pair.
-    pub fn type_distance_exact(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&hit) = self.dist_cache.lock().unwrap().get(&key) {
-            return hit;
-        }
-        let result = self.compute_distance(key.0, key.1);
-        self.dist_cache.lock().unwrap().insert(key, result);
-        result
-    }
-
-    fn compute_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let types = self.shape.types();
-        if self.instance_count(a) == 0 || self.instance_count(b) == 0 {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let la = types.dewey_len(a);
-        let lb = types.dewey_len(b);
-        let k = types.common_prefix_len(a, b);
-        let ca = self.column(a);
-        let cb = self.column(b);
-        for level in (1..=k).rev() {
-            if co_occur_columns(&ca, &cb, level) {
-                return Some(la + lb - 2 * level);
-            }
-        }
-        None
-    }
-
-    /// The closest join (§VII), zero-copy: instances of `child_type`
-    /// closest to the given `parent` instance, as the child column plus
-    /// the row range agreeing on the first
-    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` components.
-    /// Two binary searches on the column; `None` when the types are
-    /// unrelated in the data.
-    pub fn closest_group(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        debug_assert_eq!(parent.len(), self.shape.types().dewey_len(parent_type));
-        let range = col.prefix_range(&parent.components()[..l.min(parent.len())]);
-        Some((col, range))
-    }
-
-    /// The cached plan for a closest join of `child_type` instances
-    /// under `parent_type` instances: the join prefix length
-    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` and the
-    /// child column. Computed once per pair; every later probe is one
-    /// map lookup.
-    fn join_plan(
-        &self,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(usize, Arc<TypeColumn>)> {
-        if let Some(hit) = self
-            .plan_cache
-            .read()
-            .unwrap()
-            .get(&(parent_type, child_type))
-        {
-            return hit.clone();
-        }
-        let plan = self.type_distance_exact(parent_type, child_type).map(|d| {
-            let types = self.shape.types();
-            let lp = types.dewey_len(parent_type);
-            let lc = types.dewey_len(child_type);
-            ((lp + lc).saturating_sub(d) / 2, self.column(child_type))
-        });
-        self.plan_cache
-            .write()
-            .unwrap()
-            .insert((parent_type, child_type), plan.clone());
-        plan
-    }
-
-    /// Batched closest join for a **document-ordered** parent batch:
-    /// one plan lookup and one forward gallop pass over the child
-    /// column resolve every parent's group
-    /// ([`TypeColumn::prefix_ranges`]), instead of one independent
-    /// binary search per parent. Returns the child column and one row
-    /// range per parent, elementwise equal to
-    /// [`ShreddedDoc::closest_group`] on each parent; `None` when the
-    /// two types are unrelated in the data.
-    pub fn closest_children_batch(
-        &self,
-        parents: &[Dewey],
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(Arc<TypeColumn>, Vec<Range<usize>>)> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        let ranges = col.prefix_ranges(parents.iter().map(|p| &p.components()[..l.min(p.len())]));
-        Some((col, ranges))
-    }
-
-    /// [`ShreddedDoc::closest_children_batch`] over a row range of an
-    /// already-loaded parent column — the renderer's form: the parents
-    /// are the root instances of one top-level partition, already
-    /// document-ordered by column construction, and no Dewey objects
-    /// are materialized.
-    pub fn closest_group_batch(
-        &self,
-        parent_col: &TypeColumn,
-        rows: Range<usize>,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(Arc<TypeColumn>, Vec<Range<usize>>)> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        let width = parent_col.width();
-        let ranges = col.prefix_ranges(rows.map(|i| {
-            let row = parent_col.components(i);
-            &row[..l.min(width)]
-        }));
-        Some((col, ranges))
-    }
-
-    /// The closest join, materialized ([`ShreddedDoc::closest_group`]
-    /// is the zero-copy variant the renderer uses).
-    pub fn closest_children(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Vec<(Dewey, String)> {
-        match self.closest_group(parent, parent_type, child_type) {
-            Some((col, range)) => range
-                .map(|i| (col.dewey(i), col.text(i).to_string()))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// A streaming sort-merge cursor over the closest join (§VII's
-    /// pipelined implementation): callers ask for the closest
-    /// `child_type` instances of successive parent instances *in
-    /// document order*, and the cursor advances monotonically through
-    /// the child column — never revisiting rows before the last group.
-    /// Returns `None` when the two types are unrelated in the data.
-    pub fn closest_cursor(&self, parent_type: TypeId, child_type: TypeId) -> Option<ClosestCursor> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        Some(ClosestCursor {
-            col,
-            prefix_len: l,
-            pos: 0,
-            group: 0..0,
-            group_prefix: Vec::new(),
-            has_group: false,
-        })
-    }
-
-    /// Does the parent instance have at least one closest `child_type`
-    /// instance? (Existence check for RESTRICT filters.) A pure
-    /// prefix-range probe — nothing is materialized.
-    pub fn has_closest_child(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> bool {
-        self.closest_group(parent, parent_type, child_type)
-            .is_some_and(|(_, range)| !range.is_empty())
-    }
-
-    // ---- B+tree reference implementations ----
-    //
-    // The seed's storage-backed operations, kept verbatim in behaviour:
-    // the ablation benchmark's "naive" strategy runs on them, and the
-    // columnar-equivalence property tests compare against them.
-
-    /// `typeDistance` computed through B+tree key scans, bypassing the
-    /// column cache (and the distance cache — each call rescans).
-    pub fn type_distance_btree(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let types = self.shape.types();
-        if self.instance_count(a) == 0 || self.instance_count(b) == 0 {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let la = types.dewey_len(a);
-        let lb = types.dewey_len(b);
-        let k = types.common_prefix_len(a, b);
-        for level in (1..=k).rev() {
-            if self.co_occur_btree(a, b, level) {
-                return Some(la + lb - 2 * level);
-            }
-        }
-        None
-    }
-
-    /// Do some instance of `a` and some instance of `b` share a Dewey
-    /// prefix of `level` components? Sorted-merge over the two type
-    /// sequences comparing `level × 4` key bytes, borrowed straight from
-    /// the iterator's keys (keys only — values are never materialized).
-    fn co_occur_btree(&self, a: TypeId, b: TypeId, level: usize) -> bool {
-        let plen = level * 4;
-        let mut ia = self.typeseq.scan_prefix(&a.0.to_be_bytes());
-        let mut ib = self.typeseq.scan_prefix(&b.0.to_be_bytes());
-        let mut ka = ia.next_key().unwrap_or(None);
-        let mut kb = ib.next_key().unwrap_or(None);
-        while let (Some(x), Some(y)) = (&ka, &kb) {
-            // Skip the 4-byte type prefix; compare Dewey bytes in place.
-            let px = &x[4..(4 + plen).min(x.len())];
-            let py = &y[4..(4 + plen).min(y.len())];
-            match px.cmp(py) {
-                std::cmp::Ordering::Equal => {
-                    // Same prefix — but for an ancestor/descendant pair
-                    // the prefix must be fully present in both.
-                    if px.len() == plen && py.len() == plen {
-                        return true;
-                    }
-                    // One of the keys is shorter than the level: advance it.
-                    if px.len() < plen {
-                        ka = ia.next_key().unwrap_or(None);
-                    } else {
-                        kb = ib.next_key().unwrap_or(None);
-                    }
-                }
-                std::cmp::Ordering::Less => ka = ia.next_key().unwrap_or(None),
-                std::cmp::Ordering::Greater => kb = ib.next_key().unwrap_or(None),
-            }
-        }
-        false
-    }
-
-    /// The closest join through one B+tree prefix probe — the seed hot
-    /// path, kept for the ablation benchmark (`pipelined: false`) and
-    /// the columnar equivalence property tests. The join level still
-    /// comes from the (cached) exact type distance, so the comparison
-    /// isolates probe cost.
-    pub fn closest_children_btree(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Vec<(Dewey, String)> {
-        let Some(d) = self.type_distance_exact(parent_type, child_type) else {
-            return Vec::new();
-        };
-        let types = self.shape.types();
-        let lp = types.dewey_len(parent_type);
-        let lc = types.dewey_len(child_type);
-        debug_assert_eq!(parent.len(), lp);
-        let l = (lp + lc).saturating_sub(d) / 2;
-        let prefix = parent.prefix(l);
-        let mut key = Vec::with_capacity(4 + prefix.len() * 4);
-        key.extend_from_slice(&child_type.0.to_be_bytes());
-        key.extend_from_slice(&prefix.encode());
-        self.typeseq
-            .scan_prefix(&key)
-            .filter_map(|(k, v)| {
-                let dewey = Dewey::decode(k.get(4..)?)?;
-                let text = String::from_utf8(v).ok()?;
-                Some((dewey, text))
-            })
-            .collect()
-    }
-
-    /// [`ShreddedDoc::scan_type`] through the B+tree (reference).
-    pub fn scan_type_btree(&self, t: TypeId) -> Vec<(Dewey, String)> {
-        self.typeseq
-            .scan_prefix(&t.0.to_be_bytes())
-            .filter_map(|(k, v)| {
-                let dewey = Dewey::decode(k.get(4..)?)?;
-                let text = String::from_utf8(v).ok()?;
-                Some((dewey, text))
-            })
-            .collect()
+        self.snapshot().scan_type(t)
     }
 }
 
 /// The pipelined closest-join cursor (see
-/// [`ShreddedDoc::closest_cursor`]). Requests must come in
+/// [`Snapshot::closest_cursor`]). Requests must come in
 /// non-decreasing parent (document) order; the last group is cached so
 /// several parents sharing one join prefix all see it. The cursor owns
 /// an `Arc` of the child column, so groups are row ranges — nothing is
@@ -2513,22 +2224,20 @@ impl ClosestCursor {
     }
 }
 
-impl DistOracle for ShreddedDoc {
-    fn type_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        self.type_distance_exact(a, b)
-    }
-}
-
 /// An immutable, epoch-versioned view of a [`ShreddedDoc`] — the unit
 /// of snapshot isolation. Obtained from [`ShreddedDoc::snapshot`];
 /// cheap to clone (`Arc`), safe to share across threads, and stable
 /// under concurrent mutation of the document that published it: every
 /// probe answers from the state at the snapshot's epoch.
 ///
+/// It is the document's only read surface: every column, scan,
+/// distance and closest join goes through a snapshot, so there is one
+/// set of distance and join-plan caches and one lock-ordering story.
+///
 /// A snapshot freezes the adorned shape and the per-type generations
-/// at publication, seeds its column/distance/plan caches from the
-/// document, and resolves columns it has not seen **lazily** from the
-/// store. Lazy resolution is sound because of the single-writer
+/// at publication, starts from the document's column cache plus what
+/// the previous snapshot resolved for still-unmoved types, and resolves
+/// columns it has not seen **lazily** from the store. Lazy resolution is sound because of the single-writer
 /// protocol: a mutation first copy-on-writes the pre-mutation column
 /// of every type it touches into every live snapshot (so a type this
 /// snapshot has *not* resolved is unchanged since its epoch), and the
@@ -2540,8 +2249,6 @@ impl DistOracle for ShreddedDoc {
 pub struct Snapshot {
     pub(in crate::store) epoch: u64,
     shape: Arc<AdornedShape>,
-    store: Store,
-    typeseq: Tree,
     /// Store-wide shred generation at publication.
     generation: u64,
     /// Per-type generation overrides frozen at publication. For a type
@@ -2549,10 +2256,15 @@ pub struct Snapshot {
     /// live one (a later mutation would have pinned the column), so
     /// segment fencing validates against the right generation.
     tygens: HashMap<TypeId, u64>,
-    use_persisted: bool,
-    prefer_mmap: bool,
     pub(in crate::store) columns: RwLock<HashMap<TypeId, Arc<TypeColumn>, FxBuild>>,
-    dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
+    /// Exact typeDistance per type pair (the co-occurrence scan is
+    /// linear; each pair is computed at most once per snapshot, or
+    /// inherited from the previous one when neither type moved).
+    pub(in crate::store) dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
+    /// Closest-join plan per `(parent type, child type)` pair: the
+    /// join prefix length `L` (§VII) and the child column, so a hot
+    /// probe pays a single map lookup instead of a distance lookup plus
+    /// a column lookup.
     #[allow(clippy::type_complexity)]
     plan_cache: RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
     /// Compiled guards by guard text, at most [`COMPILE_CACHE_CAP`].
@@ -2642,13 +2354,7 @@ impl Snapshot {
     /// [`ShreddedDoc::column_bytes`]); the engine uses the delta across
     /// a query as the "columns this query faulted in" stat.
     pub fn column_bytes(&self) -> ColumnBytes {
-        let map = self.columns.read().unwrap();
-        let mut out = ColumnBytes::default();
-        for c in map.values() {
-            out.heap += c.heap_bytes();
-            out.mapped += c.mapped_bytes();
-        }
-        out
+        ColumnBytes::of(&self.columns.read().unwrap())
     }
 
     /// The [`TypeColumn`] of `t` as of this snapshot's epoch: the
@@ -2680,35 +2386,17 @@ impl Snapshot {
                 <= self.epoch,
             "snapshot lazily loading a type mutated after its epoch"
         );
-        let built = Arc::new(self.load_column(t));
+        // The generations frozen at publication fence the segment.
+        let generation = self.tygens.get(&t).copied().unwrap_or(self.generation);
+        let width = self.shape.types().dewey_len(t);
+        let built = Arc::new(self.shared.load_column(t, width, generation));
         let mut map = self.columns.write().unwrap();
         Arc::clone(map.entry(t).or_insert(built))
     }
 
-    /// The generation a valid persisted segment of `t` must carry,
-    /// per the generations frozen at publication.
-    fn expected_generation(&self, t: TypeId) -> u64 {
-        self.tygens.get(&t).copied().unwrap_or(self.generation)
-    }
-
-    fn load_column(&self, t: TypeId) -> TypeColumn {
-        let width = self.shape.types().dewey_len(t);
-        if self.use_persisted {
-            let name = colseg::segment_name(t);
-            if let Ok(Some(seg)) = self.store.get_segment(&name, self.prefer_mmap) {
-                if let Ok(parsed) = colseg::parse(&seg, width, self.expected_generation(t)) {
-                    return TypeColumn::from_segment(seg, parsed);
-                }
-                // Stale or corrupt segments degrade to the tree
-                // rebuild, same as the document path; fallback
-                // accounting stays a document-handle concern.
-            }
-        }
-        decode_typeseq_column(&self.typeseq, width, t)
-    }
-
     /// All instances of a type at the snapshot's epoch, in document
-    /// order, with their direct text.
+    /// order, with their direct text. Materializes owned pairs from the
+    /// column; [`Snapshot::column`] is the zero-copy variant.
     pub fn scan_type(&self, t: TypeId) -> Vec<(Dewey, String)> {
         let col = self.column(t);
         (0..col.len())
@@ -2716,8 +2404,11 @@ impl Snapshot {
             .collect()
     }
 
-    /// Exact `typeDistance` (Def. 2) over the snapshot's columns.
-    /// Cached per pair on the snapshot.
+    /// Exact `typeDistance` (Def. 2): the minimum tree distance over all
+    /// instance pairs, found by scanning candidate least-common-ancestor
+    /// levels from the deepest shared path prefix upward and checking
+    /// *co-occurrence* (two instances sharing a Dewey prefix of that
+    /// length) with a sorted-merge over the two columns. Cached per pair.
     pub fn type_distance_exact(&self, a: TypeId, b: TypeId) -> Option<usize> {
         let key = if a <= b { (a, b) } else { (b, a) };
         if let Some(&hit) = self.dist_cache.lock().unwrap().get(&key) {
@@ -2749,6 +2440,11 @@ impl Snapshot {
         None
     }
 
+    /// The cached plan for a closest join of `child_type` instances
+    /// under `parent_type` instances: the join prefix length
+    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` and the
+    /// child column. Computed once per pair; every later probe is one
+    /// map lookup.
     fn join_plan(
         &self,
         parent_type: TypeId,
@@ -2775,9 +2471,12 @@ impl Snapshot {
         plan
     }
 
-    /// The closest join (§VII), zero-copy, at the snapshot's epoch —
-    /// elementwise equal to [`ShreddedDoc::closest_group`] on the
-    /// document state the snapshot pinned.
+    /// The closest join (§VII), zero-copy: instances of `child_type`
+    /// closest to the given `parent` instance, as the child column plus
+    /// the row range agreeing on the first
+    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` components.
+    /// Two binary searches on the column; `None` when the types are
+    /// unrelated in the data.
     pub fn closest_group(
         &self,
         parent: &Dewey,
@@ -2790,8 +2489,11 @@ impl Snapshot {
         Some((col, range))
     }
 
-    /// Batched closest join over a parent row range — the renderer's
-    /// form; see [`ShreddedDoc::closest_group_batch`].
+    /// [`Snapshot::closest_children_batch`] over a row range of an
+    /// already-loaded parent column — the renderer's form: the parents
+    /// are the root instances of one top-level partition, already
+    /// document-ordered by column construction, and no Dewey objects
+    /// are materialized.
     pub fn closest_group_batch(
         &self,
         parent_col: &TypeColumn,
@@ -2808,8 +2510,14 @@ impl Snapshot {
         Some((col, ranges))
     }
 
-    /// Batched closest join for a document-ordered parent batch; see
-    /// [`ShreddedDoc::closest_children_batch`].
+    /// Batched closest join for a **document-ordered** parent batch:
+    /// one plan lookup and one forward gallop pass over the child
+    /// column resolve every parent's group
+    /// ([`TypeColumn::prefix_ranges`]), instead of one independent
+    /// binary search per parent. Returns the child column and one row
+    /// range per parent, elementwise equal to
+    /// [`Snapshot::closest_group`] on each parent; `None` when the two
+    /// types are unrelated in the data.
     pub fn closest_children_batch(
         &self,
         parents: &[Dewey],
@@ -2821,8 +2529,8 @@ impl Snapshot {
         Some((col, ranges))
     }
 
-    /// The closest join, materialized; see
-    /// [`ShreddedDoc::closest_children`].
+    /// The closest join, materialized ([`Snapshot::closest_group`] is
+    /// the zero-copy variant the renderer uses).
     pub fn closest_children(
         &self,
         parent: &Dewey,
@@ -2837,8 +2545,12 @@ impl Snapshot {
         }
     }
 
-    /// A streaming closest-join cursor at the snapshot's epoch; see
-    /// [`ShreddedDoc::closest_cursor`].
+    /// A streaming sort-merge cursor over the closest join (§VII's
+    /// pipelined implementation): callers ask for the closest
+    /// `child_type` instances of successive parent instances *in
+    /// document order*, and the cursor advances monotonically through
+    /// the child column — never revisiting rows before the last group.
+    /// Returns `None` when the two types are unrelated in the data.
     pub fn closest_cursor(&self, parent_type: TypeId, child_type: TypeId) -> Option<ClosestCursor> {
         let (l, col) = self.join_plan(parent_type, child_type)?;
         Some(ClosestCursor {
@@ -2851,8 +2563,9 @@ impl Snapshot {
         })
     }
 
-    /// Existence probe for RESTRICT filters; see
-    /// [`ShreddedDoc::has_closest_child`].
+    /// Does the parent instance have at least one closest `child_type`
+    /// instance? (Existence check for RESTRICT filters.) A pure
+    /// prefix-range probe — nothing is materialized.
     pub fn has_closest_child(
         &self,
         parent: &Dewey,
@@ -2863,12 +2576,78 @@ impl Snapshot {
             .is_some_and(|(_, range)| !range.is_empty())
     }
 
-    /// The B+tree reference join (the ablation path, `pipelined:
-    /// false`). The scan runs under the writer-exclusion gate so it
-    /// never decodes a torn range, but unlike the columnar paths it
-    /// reads the *live* trees: under concurrent mutation its answers
-    /// reflect the current document, not the snapshot's epoch. The
-    /// engine's query path always uses the pipelined columnar join.
+    // ---- B+tree reference implementations ----
+    //
+    // The seed's storage-backed operations, kept verbatim in behaviour:
+    // the ablation benchmark's "naive" strategy runs on them, and the
+    // columnar-equivalence property tests compare against them. Each
+    // scan runs under the writer-exclusion gate so it never decodes a
+    // torn range, but unlike the columnar paths it reads the *live*
+    // trees: under concurrent mutation its answers reflect the current
+    // document, not the snapshot's epoch.
+
+    /// `typeDistance` computed through B+tree key scans, bypassing the
+    /// columns (and the distance cache — each call rescans).
+    pub fn type_distance_btree(&self, a: TypeId, b: TypeId) -> Option<usize> {
+        let types = self.shape.types();
+        if self.instance_count(a) == 0 || self.instance_count(b) == 0 {
+            return None;
+        }
+        if a == b {
+            return Some(0);
+        }
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        let la = types.dewey_len(a);
+        let lb = types.dewey_len(b);
+        let k = types.common_prefix_len(a, b);
+        let _gate = self.shared.gate.read().unwrap();
+        (1..=k)
+            .rev()
+            .find(|&level| self.co_occur_btree(a, b, level))
+            .map(|level| la + lb - 2 * level)
+    }
+
+    /// Do some instance of `a` and some instance of `b` share a Dewey
+    /// prefix of `level` components? Sorted-merge over the two type
+    /// sequences comparing `level × 4` key bytes, borrowed straight from
+    /// the iterator's keys (keys only — values are never materialized).
+    fn co_occur_btree(&self, a: TypeId, b: TypeId, level: usize) -> bool {
+        let plen = level * 4;
+        let typeseq = &self.shared.typeseq;
+        let mut ia = typeseq.scan_prefix(&a.0.to_be_bytes());
+        let mut ib = typeseq.scan_prefix(&b.0.to_be_bytes());
+        let mut ka = ia.next_key().unwrap_or(None);
+        let mut kb = ib.next_key().unwrap_or(None);
+        while let (Some(x), Some(y)) = (&ka, &kb) {
+            // Skip the 4-byte type prefix; compare Dewey bytes in place.
+            let px = &x[4..(4 + plen).min(x.len())];
+            let py = &y[4..(4 + plen).min(y.len())];
+            match px.cmp(py) {
+                Cmp::Equal => {
+                    // Same prefix — but for an ancestor/descendant pair
+                    // the prefix must be fully present in both.
+                    if px.len() == plen && py.len() == plen {
+                        return true;
+                    }
+                    // One of the keys is shorter than the level: advance it.
+                    if px.len() < plen {
+                        ka = ia.next_key().unwrap_or(None);
+                    } else {
+                        kb = ib.next_key().unwrap_or(None);
+                    }
+                }
+                Cmp::Less => ka = ia.next_key().unwrap_or(None),
+                Cmp::Greater => kb = ib.next_key().unwrap_or(None),
+            }
+        }
+        false
+    }
+
+    /// The closest join through one B+tree prefix probe — the seed hot
+    /// path, kept for the ablation benchmark (`pipelined: false`) and
+    /// the columnar equivalence property tests. The join level still
+    /// comes from the (cached) exact type distance, so the comparison
+    /// isolates probe cost.
     pub fn closest_children_btree(
         &self,
         parent: &Dewey,
@@ -2887,9 +2666,20 @@ impl Snapshot {
         let mut key = Vec::with_capacity(4 + prefix.len() * 4);
         key.extend_from_slice(&child_type.0.to_be_bytes());
         key.extend_from_slice(&prefix.encode());
+        self.scan_typeseq(&key)
+    }
+
+    /// [`Snapshot::scan_type`] through the B+tree (reference).
+    pub fn scan_type_btree(&self, t: TypeId) -> Vec<(Dewey, String)> {
+        self.scan_typeseq(&t.0.to_be_bytes())
+    }
+
+    /// Decode every `typeseq` entry under `prefix`, under the gate.
+    fn scan_typeseq(&self, prefix: &[u8]) -> Vec<(Dewey, String)> {
         let _gate = self.shared.gate.read().unwrap();
-        self.typeseq
-            .scan_prefix(&key)
+        self.shared
+            .typeseq
+            .scan_prefix(prefix)
             .filter_map(|(k, v)| {
                 let dewey = Dewey::decode(k.get(4..)?)?;
                 let text = String::from_utf8(v).ok()?;
@@ -2969,9 +2759,10 @@ mod tests {
         let title = ty(&doc, "data.book.title");
         let publisher = ty(&doc, "data.book.publisher");
         let pub_name = ty(&doc, "data.book.publisher.name");
-        assert_eq!(doc.type_distance_exact(title, publisher), Some(2));
-        assert_eq!(doc.type_distance_exact(title, pub_name), Some(3));
-        assert_eq!(doc.type_distance_exact(title, title), Some(0));
+        let snap = doc.snapshot();
+        assert_eq!(snap.type_distance_exact(title, publisher), Some(2));
+        assert_eq!(snap.type_distance_exact(title, pub_name), Some(3));
+        assert_eq!(snap.type_distance_exact(title, title), Some(0));
     }
 
     #[test]
@@ -2981,7 +2772,7 @@ mod tests {
             shredded("<data><book><author>a</author></book><book><editor>e</editor></book></data>");
         let author = ty(&doc, "data.book.author");
         let editor = ty(&doc, "data.book.editor");
-        assert_eq!(doc.type_distance_exact(author, editor), Some(4));
+        assert_eq!(doc.snapshot().type_distance_exact(author, editor), Some(4));
     }
 
     #[test]
@@ -2989,7 +2780,7 @@ mod tests {
         let doc = shredded(FIG1A);
         let book = ty(&doc, "data.book");
         let pub_name = ty(&doc, "data.book.publisher.name");
-        assert_eq!(doc.type_distance_exact(book, pub_name), Some(2));
+        assert_eq!(doc.snapshot().type_distance_exact(book, pub_name), Some(2));
     }
 
     #[test]
@@ -2999,7 +2790,9 @@ mod tests {
         let doc = shredded(FIG1A);
         let publisher = ty(&doc, "data.book.publisher");
         let title = ty(&doc, "data.book.title");
-        let joined = doc.closest_children(&"1.1.3".parse().unwrap(), publisher, title);
+        let joined = doc
+            .snapshot()
+            .closest_children(&"1.1.3".parse().unwrap(), publisher, title);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].0.to_string(), "1.1.1");
         assert_eq!(joined[0].1, "X");
@@ -3011,7 +2804,9 @@ mod tests {
         let doc = shredded(FIG1A);
         let author = ty(&doc, "data.book.author");
         let name = ty(&doc, "data.book.author.name");
-        let joined = doc.closest_children(&"1.1.2".parse().unwrap(), author, name);
+        let joined = doc
+            .snapshot()
+            .closest_children(&"1.1.2".parse().unwrap(), author, name);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].0.to_string(), "1.1.2.1");
     }
@@ -3022,7 +2817,9 @@ mod tests {
         let doc = shredded(FIG1A);
         let title = ty(&doc, "data.book.title");
         let author = ty(&doc, "data.book.author");
-        let joined = doc.closest_children(&"1.1.1".parse().unwrap(), title, author);
+        let joined = doc
+            .snapshot()
+            .closest_children(&"1.1.1".parse().unwrap(), title, author);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].0.to_string(), "1.1.2");
     }
@@ -3058,8 +2855,9 @@ mod tests {
         );
         let book = ty(&doc, "d.book");
         let award = ty(&doc, "d.book.award");
-        assert!(doc.has_closest_child(&"1.1".parse().unwrap(), book, award));
-        assert!(!doc.has_closest_child(&"1.2".parse().unwrap(), book, award));
+        let snap = doc.snapshot();
+        assert!(snap.has_closest_child(&"1.1".parse().unwrap(), book, award));
+        assert!(!snap.has_closest_child(&"1.2".parse().unwrap(), book, award));
     }
 
     #[test]
@@ -3112,22 +2910,22 @@ mod tests {
 
     #[test]
     fn columnar_matches_btree_reference() {
-        let doc = shredded(FIG1A);
-        let types: Vec<TypeId> = doc.types().ids().collect();
+        let snap = shredded(FIG1A).snapshot();
+        let types: Vec<TypeId> = snap.types().ids().collect();
         for &t in &types {
-            assert_eq!(doc.scan_type(t), doc.scan_type_btree(t), "scan {t:?}");
+            assert_eq!(snap.scan_type(t), snap.scan_type_btree(t), "scan {t:?}");
         }
         for &a in &types {
             for &b in &types {
                 assert_eq!(
-                    doc.type_distance_exact(a, b),
-                    doc.type_distance_btree(a, b),
+                    snap.type_distance_exact(a, b),
+                    snap.type_distance_btree(a, b),
                     "distance {a:?} {b:?}"
                 );
-                for (parent, _) in doc.scan_type(a) {
+                for (parent, _) in snap.scan_type(a) {
                     assert_eq!(
-                        doc.closest_children(&parent, a, b),
-                        doc.closest_children_btree(&parent, a, b),
+                        snap.closest_children(&parent, a, b),
+                        snap.closest_children_btree(&parent, a, b),
                         "join {parent} {a:?} {b:?}"
                     );
                 }
@@ -3140,42 +2938,44 @@ mod tests {
         let doc = shredded(FIG1A);
         let publisher = ty(&doc, "data.book.publisher");
         let title = ty(&doc, "data.book.title");
-        let mut cursor = doc.closest_cursor(publisher, title).unwrap();
-        for (parent, _) in doc.scan_type(publisher) {
+        let snap = doc.snapshot();
+        let mut cursor = snap.closest_cursor(publisher, title).unwrap();
+        for (parent, _) in snap.scan_type(publisher) {
             let range = cursor.group_for(&parent);
             let col = cursor.column().clone();
             let got: Vec<(Dewey, String)> = range
                 .map(|i| (col.dewey(i), col.text(i).to_string()))
                 .collect();
-            assert_eq!(got, doc.closest_children(&parent, publisher, title));
+            assert_eq!(got, snap.closest_children(&parent, publisher, title));
         }
     }
 
     #[test]
     fn batched_groups_match_direct_joins() {
-        let doc = shredded(FIG1A);
-        let types: Vec<TypeId> = doc.types().ids().collect();
+        let snap = shredded(FIG1A).snapshot();
+        let types: Vec<TypeId> = snap.types().ids().collect();
         for &a in &types {
-            let parents: Vec<Dewey> = doc.scan_type(a).into_iter().map(|(d, _)| d).collect();
+            let parents: Vec<Dewey> = snap.scan_type(a).into_iter().map(|(d, _)| d).collect();
             for &b in &types {
-                let batch = doc.closest_children_batch(&parents, a, b);
+                let batch = snap.closest_children_batch(&parents, a, b);
                 match batch {
                     None => {
                         for p in &parents {
-                            assert!(doc.closest_group(p, a, b).is_none());
+                            assert!(snap.closest_group(p, a, b).is_none());
                         }
                     }
                     Some((col, ranges)) => {
                         assert_eq!(ranges.len(), parents.len());
                         for (p, r) in parents.iter().zip(&ranges) {
-                            let (scol, sr) = doc.closest_group(p, a, b).unwrap();
+                            let (scol, sr) = snap.closest_group(p, a, b).unwrap();
                             assert_eq!(*r, sr, "batch group for {p} under {a:?}->{b:?}");
                             assert_eq!(*col, *scol);
                         }
                         // Row-range form agrees with the Dewey form.
-                        let pcol = doc.column(a);
-                        let (_, rranges) =
-                            doc.closest_group_batch(&pcol, 0..pcol.len(), a, b).unwrap();
+                        let pcol = snap.column(a);
+                        let (_, rranges) = snap
+                            .closest_group_batch(&pcol, 0..pcol.len(), a, b)
+                            .unwrap();
                         assert_eq!(rranges, ranges);
                     }
                 }
@@ -3285,7 +3085,7 @@ mod tests {
         let col = doc.column(t);
         // Unix file-backed stores serve the segment via mmap.
         assert_eq!(col.is_mapped(), store.supports_mmap());
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.snapshot().scan_type_btree(t));
         assert!(doc.segment_fallbacks().is_empty(), "no fallback expected");
         if col.is_mapped() {
             assert!(doc.column_bytes().mapped > 0);
@@ -3308,7 +3108,7 @@ mod tests {
         let col = doc.column(t);
         assert!(!col.is_mapped());
         assert_eq!(doc.column_bytes().mapped, 0);
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.snapshot().scan_type_btree(t));
         drop((doc, store));
         std::fs::remove_file(&path).ok();
     }
@@ -3364,7 +3164,7 @@ mod tests {
             .unwrap();
         let t = ty(&doc, "data.book.title");
         assert!(!doc.column(t).is_mapped());
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.snapshot().scan_type_btree(t));
         drop((doc, store));
         std::fs::remove_file(&path).ok();
     }
@@ -3419,32 +3219,12 @@ mod tests {
             ShreddedDoc::shred_str(&store, FIG1A).unwrap();
             store.close().unwrap();
         }
-        // Flip a byte inside every persisted payload: segments start
-        // after the fixed header with the magic, so corrupt by locating
-        // each magic and damaging a byte far past the header.
-        {
-            let mut bytes = std::fs::read(&path).unwrap();
-            let magic = crate::store::colseg::COLSEG_MAGIC_V2;
-            let positions: Vec<usize> = bytes
-                .windows(magic.len())
-                .enumerate()
-                .filter(|(_, w)| w == magic)
-                .map(|(i, _)| i)
-                .collect();
-            assert!(!positions.is_empty(), "persisted segments present");
-            for p in positions {
-                let target = p + crate::store::colseg::COLSEG_HEADER;
-                if target < bytes.len() {
-                    bytes[target] ^= 0xff;
-                }
-            }
-            std::fs::write(&path, &bytes).unwrap();
-        }
+        crate::store::colseg::corrupt_segments_in_file(&path);
         let store = Store::open(&path).unwrap();
         let doc = ShreddedDoc::open(&store).unwrap();
         let t = ty(&doc, "data.book.title");
         // Bytes still correct (rebuilt), fallback recorded.
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.snapshot().scan_type_btree(t));
         assert!(
             !doc.segment_fallbacks().is_empty(),
             "corruption should be recorded"
@@ -3524,30 +3304,37 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_joins_match_document_joins_at_same_epoch() {
+    fn snapshot_joins_match_btree_oracle_after_mutation() {
         let store = Store::in_memory();
         let mut doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
         doc.insert_subtree(&"1.2".parse().unwrap(), "<award>prize</award>")
             .unwrap();
         let snap = doc.snapshot();
-        for a in doc.types().ids().collect::<Vec<_>>() {
-            for b in doc.types().ids().collect::<Vec<_>>() {
+        let types: Vec<TypeId> = snap.types().ids().collect();
+        for &a in &types {
+            let parents: Vec<Dewey> = snap.scan_type(a).into_iter().map(|(p, _)| p).collect();
+            for &b in &types {
                 assert_eq!(
                     snap.type_distance_exact(a, b),
-                    doc.type_distance_exact(a, b),
+                    snap.type_distance_btree(a, b),
                     "distance {a:?}->{b:?}"
                 );
-                let parents: Vec<Dewey> = doc.scan_type(a).into_iter().map(|(p, _)| p).collect();
-                for p in &parents {
+                let batch = snap.closest_children_batch(&parents, a, b);
+                for (i, p) in parents.iter().enumerate() {
+                    let oracle = snap.closest_children_btree(p, a, b);
                     assert_eq!(
                         snap.closest_children(p, a, b),
-                        doc.closest_children(p, a, b),
+                        oracle,
                         "join {p} {a:?}->{b:?}"
                     );
+                    if let Some((col, ranges)) = &batch {
+                        let got: Vec<(Dewey, String)> = ranges[i]
+                            .clone()
+                            .map(|r| (col.dewey(r), col.text(r).to_string()))
+                            .collect();
+                        assert_eq!(got, oracle, "batch {p} {a:?}->{b:?}");
+                    }
                 }
-                let snap_batch = snap.closest_children_batch(&parents, a, b).map(|(_, r)| r);
-                let doc_batch = doc.closest_children_batch(&parents, a, b).map(|(_, r)| r);
-                assert_eq!(snap_batch, doc_batch, "batch {a:?}->{b:?}");
             }
         }
     }
@@ -3585,14 +3372,32 @@ mod tests {
         let pub_name = ty(&doc, "data.book.publisher.name");
         let publisher = ty(&doc, "data.book.publisher");
         // Warm both pairs, then mutate only the title.
-        assert_eq!(doc.type_distance_exact(book, title), Some(1));
-        assert_eq!(doc.type_distance_exact(publisher, pub_name), Some(1));
+        let before = doc.snapshot();
+        assert_eq!(before.type_distance_exact(book, title), Some(1));
+        assert_eq!(before.type_distance_exact(publisher, pub_name), Some(1));
         doc.update_text(&"1.1.1".parse().unwrap(), "Z").unwrap();
-        // Disjoint pair survives; pairs touching `title` recompute and
-        // still agree with a fresh document.
-        assert_eq!(doc.type_distance_exact(publisher, pub_name), Some(1));
-        assert_eq!(doc.type_distance_exact(book, title), Some(1));
-        assert!(doc.has_closest_child(&"1.1".parse().unwrap(), book, title));
+        let after = doc.snapshot();
+        let cached = |a: TypeId, b: TypeId| {
+            let key = if a <= b { (a, b) } else { (b, a) };
+            after.dist_cache.lock().unwrap().contains_key(&key)
+        };
+        // The disjoint pair carries forward; the pair touching `title`
+        // does not.
+        assert!(cached(publisher, pub_name));
+        assert!(!cached(book, title));
+        // Inherited and recomputed values alike agree with a fresh
+        // shred of the mutated document.
+        let fresh = shredded(&FIG1A.replacen(">X<", ">Z<", 1)).snapshot();
+        for a in after.types().ids() {
+            for b in after.types().ids() {
+                assert_eq!(
+                    after.type_distance_exact(a, b),
+                    fresh.type_distance_exact(a, b),
+                    "distance {a:?}->{b:?}"
+                );
+            }
+        }
+        assert!(after.has_closest_child(&"1.1".parse().unwrap(), book, title));
     }
 
     #[test]
@@ -3721,19 +3526,22 @@ mod tests {
     #[test]
     fn column_budget_counts_snapshot_pins_as_spent() {
         let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
-        let title = ty(&doc, "data.book.title");
-        let name = ty(&doc, "data.book.author.name");
-        let snap = doc.snapshot();
+        let shredded = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+        let title = ty(&shredded, "data.book.title");
+        let name = ty(&shredded, "data.book.author.name");
+        // Measure the title column as a reopened handle loads it.
         let pinned = {
-            let c = snap.column(title);
+            let c = ShreddedDoc::open(&store).unwrap().snapshot().column(title);
             c.heap_bytes() + c.mapped_bytes()
         };
         assert!(pinned > 0);
-        // The snapshot has already spent the whole budget, so the
-        // cache shrinks to the single entry eviction never drops —
-        // the column just touched.
-        doc.set_column_budget(Some(pinned));
+        // Reopen with a budget the snapshot below spends in full, so the
+        // cache shrinks to the single entry eviction never drops — the
+        // column just touched.
+        let doc =
+            ShreddedDoc::open_with(&store, &OpenOptions::builder().column_budget(pinned)).unwrap();
+        let snap = doc.snapshot();
+        let _ = snap.column(title);
         let _ = doc.column(title);
         let _ = doc.column(name);
         let cached: Vec<TypeId> = doc.columns.read().unwrap().keys().copied().collect();

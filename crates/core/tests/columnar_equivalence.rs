@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use xmorph_core::{Guard, OpenOptions, ShredOptions, ShreddedDoc, TypeId};
+use xmorph_core::{Guard, OpenOptions, ShredOptions, ShreddedDoc, Snapshot, TypeId};
 use xmorph_pagestore::Store;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -72,6 +72,7 @@ proptest! {
     #[test]
     fn columnar_operations_match_btree_reference(xml in random_library()) {
         let (_s, doc) = shred(&xml);
+        let doc = doc.snapshot();
         let types: Vec<TypeId> = doc.types().ids().collect();
         for &t in &types {
             prop_assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
@@ -113,6 +114,7 @@ proptest! {
             prop_assert_eq!(bulk.scan_type(t), incremental.scan_type(t));
             prop_assert_eq!(bulk.instance_count(t), incremental.instance_count(t));
         }
+        let (bulk, incremental) = (bulk.snapshot(), incremental.snapshot());
         for &a in &types {
             for &b in &types {
                 prop_assert_eq!(
@@ -146,16 +148,17 @@ proptest! {
         for &t in &types {
             prop_assert_eq!(persisted.scan_type(t), rebuilt.scan_type(t));
         }
+        let (ps, rs) = (persisted.snapshot(), rebuilt.snapshot());
         for &a in &types {
             for &b in &types {
                 prop_assert_eq!(
-                    persisted.type_distance_exact(a, b),
-                    rebuilt.type_distance_exact(a, b)
+                    ps.type_distance_exact(a, b),
+                    rs.type_distance_exact(a, b)
                 );
-                for (parent, _) in persisted.scan_type(a) {
+                for (parent, _) in ps.scan_type(a) {
                     prop_assert_eq!(
-                        persisted.closest_children(&parent, a, b),
-                        rebuilt.closest_children(&parent, a, b),
+                        ps.closest_children(&parent, a, b),
+                        rs.closest_children(&parent, a, b),
                         "join at {}", parent
                     );
                 }
@@ -426,7 +429,7 @@ fn assert_equivalent(doc: &ShreddedDoc, fresh: &ShreddedDoc) {
         }
         assert_eq!(
             doc.scan_type(dt),
-            doc.scan_type_btree(dt),
+            doc.snapshot().scan_type_btree(dt),
             "column vs btree for {dotted}"
         );
     }
@@ -478,7 +481,7 @@ proptest! {
             let path: Vec<String> = dotted.split('.').map(str::to_string).collect();
             let dt = doc.types().lookup(&path).unwrap();
             prop_assert!(
-                *doc.column(dt) == *fresh.column(ft),
+                *doc.snapshot().column(dt) == *fresh.snapshot().column(ft),
                 "column bytes diverge for {}", dotted
             );
         }
@@ -545,7 +548,7 @@ proptest! {
 /// probes must agree elementwise with per-parent probes for every type
 /// pair among the densest types (densest = most parents, i.e. the
 /// probes the batch kernel actually amortizes).
-fn assert_batch_matches_scalar(doc: &ShreddedDoc, label: &str) {
+fn assert_batch_matches_scalar(doc: &Snapshot, label: &str) {
     let mut types: Vec<TypeId> = doc
         .types()
         .ids()
@@ -602,7 +605,7 @@ fn batched_probes_match_scalar_on_xmark_dblp_nasa() {
         ),
     ] {
         let (_s, doc) = shred(&xml);
-        assert_batch_matches_scalar(&doc, label);
+        assert_batch_matches_scalar(&doc.snapshot(), label);
     }
 }
 
@@ -632,7 +635,7 @@ fn v1_segments_still_open_byte_identically() {
         let path: Vec<String> = dotted.split('.').map(str::to_string).collect();
         let vt = v1doc.types().lookup(&path).unwrap();
         assert!(
-            *v1doc.column(vt) == *fresh.column(ft),
+            *v1doc.snapshot().column(vt) == *fresh.snapshot().column(ft),
             "v1-opened column diverges for {dotted}"
         );
     }
@@ -720,7 +723,10 @@ proptest! {
         let types: Vec<TypeId> = mem.types().ids().collect();
         for &t in &types {
             prop_assert_eq!(mem.scan_type(t), st.scan_type(t));
-            prop_assert_eq!(mem.scan_type_btree(t), st.scan_type_btree(t));
+            prop_assert_eq!(
+                mem.snapshot().scan_type_btree(t),
+                st.snapshot().scan_type_btree(t)
+            );
             for (d, _) in mem.scan_type(t) {
                 prop_assert_eq!(mem.node_text(&d).unwrap(), st.node_text(&d).unwrap());
                 prop_assert_eq!(mem.node_type(&d).unwrap(), st.node_type(&d).unwrap());

@@ -82,10 +82,7 @@ fn concurrent_readers_never_observe_torn_renders() {
     // A snapshot pinned before the stream must stay byte-stable.
     let guard = Guard::parse(GUARD).expect("parse guard");
     let pinned = engine.snapshot();
-    let pinned_target = guard
-        .analyze_snapshot(&pinned)
-        .expect("analyze pinned")
-        .target;
+    let pinned_target = guard.analyze(&pinned).expect("analyze pinned").target;
     let pinned_before = xmorph_core::render::render_snapshot(
         &pinned,
         &pinned_target,

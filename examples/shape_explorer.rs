@@ -36,7 +36,8 @@ fn main() {
     println!("  ...\n");
 
     // Exact type distances, resolved against the data (Def. 2).
-    let types = doc.types();
+    let snap = doc.snapshot();
+    let types = snap.types();
     let person = types.matching("person")[0];
     let name = types
         .matching("name")
@@ -46,11 +47,11 @@ fn main() {
     let interest = types.matching("interest")[0];
     println!(
         "typeDistance(person, person.name) = {:?}",
-        doc.type_distance_exact(person, name)
+        snap.type_distance_exact(person, name)
     );
     println!(
         "typeDistance(person, profile.interest) = {:?}",
-        doc.type_distance_exact(person, interest)
+        snap.type_distance_exact(person, interest)
     );
 
     // The materialized closest graph of a small fragment (Def. 1). The

@@ -165,7 +165,7 @@ fn run() -> Result<(), String> {
         "analyze" => {
             let guard = require_guard(&args)?;
             let (_store, doc) = load_doc(&args)?;
-            let analysis = guard.analyze(&doc).map_err(|e| e.to_string())?;
+            let analysis = guard.analyze(&doc.snapshot()).map_err(|e| e.to_string())?;
             println!("target shape:\n{}", analysis.target);
             println!("{}", analysis.labels);
             println!("{}", analysis.loss);

@@ -199,7 +199,7 @@ fn section7_closest_joins() {
     use xmorph_core::ShreddedDoc;
     use xmorph_pagestore::Store;
     let store = Store::in_memory();
-    let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+    let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap().snapshot();
     let types = doc.types();
     let author = types.matching("author")[0];
     let name = types.matching("author.name")[0];

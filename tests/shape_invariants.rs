@@ -11,9 +11,9 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render_snapshot, RenderOptions};
 use xmorph_core::semantics::shape::Shape;
-use xmorph_core::{Guard, ShreddedDoc};
+use xmorph_core::{Guard, ShreddedDoc, Snapshot};
 use xmorph_pagestore::Store;
 
 /// Random small library documents (same family as theorem_validation).
@@ -57,10 +57,10 @@ fn shred(xml: &str) -> (Store, ShreddedDoc) {
     (store, doc)
 }
 
-fn target_of(guard: &str, doc: &ShreddedDoc) -> Option<Shape> {
+fn target_of(guard: &str, snap: &Snapshot) -> Option<Shape> {
     Guard::parse(guard)
         .unwrap()
-        .analyze(doc)
+        .analyze(snap)
         .ok()
         .map(|a| a.target)
 }
@@ -74,10 +74,11 @@ proptest! {
         guard_idx in 0usize..GUARDS.len(),
     ) {
         let (_s, doc) = shred(&xml);
-        let Some(target) = target_of(GUARDS[guard_idx], &doc) else { return Ok(()) };
-        let fast = render(&doc, &target, &RenderOptions { pipelined: true, ..Default::default() })
+        let snap = doc.snapshot();
+        let Some(target) = target_of(GUARDS[guard_idx], &snap) else { return Ok(()) };
+        let fast = render_snapshot(&snap, &target, &RenderOptions { pipelined: true, ..Default::default() })
             .unwrap();
-        let slow = render(&doc, &target, &RenderOptions { pipelined: false, ..Default::default() })
+        let slow = render_snapshot(&snap, &target, &RenderOptions { pipelined: false, ..Default::default() })
             .unwrap();
         prop_assert_eq!(fast, slow);
     }
@@ -88,7 +89,7 @@ proptest! {
         // source types and target bases (Def. 8).
         let (_s, doc) = shred(&xml);
         let guard = Guard::parse("CAST MUTATE author [ title ]").unwrap();
-        let Ok(analysis) = guard.analyze(&doc) else { return Ok(()) };
+        let Ok(analysis) = guard.analyze(&doc.snapshot()) else { return Ok(()) };
         let bases: BTreeSet<u32> = analysis
             .target
             .preorder()
@@ -108,10 +109,10 @@ proptest! {
     #[test]
     fn translate_preserves_structure(xml in random_library()) {
         let (_s, doc) = shred(&xml);
-        let plain = Guard::parse("CAST MUTATE lib").unwrap().analyze(&doc).unwrap().target;
+        let plain = Guard::parse("CAST MUTATE lib").unwrap().analyze(&doc.snapshot()).unwrap().target;
         let renamed = Guard::parse("CAST TRANSLATE title -> headline")
             .unwrap()
-            .analyze(&doc)
+            .analyze(&doc.snapshot())
             .unwrap()
             .target;
         // Same arena sizes, same child structure, same bases.
@@ -145,7 +146,7 @@ proptest! {
         // duplication factor exceeds 1.)
         let (_s, doc) = shred(&xml);
         let guard = Guard::parse(GUARDS[guard_idx]).unwrap();
-        let Ok(analysis) = guard.analyze(&doc) else { return Ok(()) };
+        let Ok(analysis) = guard.analyze(&doc.snapshot()) else { return Ok(()) };
         if analysis.loss.typing != xmorph_core::GuardTyping::Strong {
             return Ok(());
         }
