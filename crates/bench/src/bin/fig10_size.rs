@@ -48,8 +48,9 @@ const POOL_PAGES: usize = 256;
 /// and must honour the memory gate.
 const GATE_RATIO: usize = 20;
 
-/// Documents up to this size also run the in-memory (whole-string)
-/// shred for the side-by-side peak column.
+/// Documents up to this size also run the unbudgeted whole-string shred
+/// (one unspilled sort run per stream) for the side-by-side peak
+/// column.
 const INMEM_CAP: usize = 16 << 20;
 
 struct SizePoint {
@@ -104,8 +105,9 @@ fn measure(factor: f64, budget: usize) -> SizePoint {
     drop(doc);
     drop(bench);
 
-    // In-core comparison point: the whole-string shred the figure
-    // originally measured, skipped once documents outgrow the heap.
+    // In-core comparison point: the whole-string shred with no memory
+    // budget (each sort stream one unspilled run), skipped once
+    // documents outgrow the heap.
     let inmem = (input_bytes <= INMEM_CAP).then(|| {
         let xml = std::fs::read_to_string(&xml_path).expect("read xml");
         let bench = BenchStore::create(StoreKind::TempFile, POOL_PAGES);
@@ -266,7 +268,7 @@ fn main() {
     println!(
         "\nPaper shape to check: render grows linearly with size; compile is a tiny,\n\
          size-independent fraction; streaming shred peak memory is flat in document\n\
-         size (bounded by the budget) while the in-memory shred's peak tracks the\n\
+         size (bounded by the budget) while the unbudgeted shred's peak tracks the\n\
          document."
     );
     if failed {

@@ -41,7 +41,7 @@
 use std::time::Instant;
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::table::Table;
-use xmorph_core::{OpenOptions, Preload, ShredOptions, ShreddedDoc, Snapshot, TypeId, TypeTable};
+use xmorph_core::{OpenOptions, ShredOptions, ShreddedDoc, Snapshot, TypeId, TypeTable};
 use xmorph_datagen::XmarkConfig;
 use xmorph_pagestore::Store;
 use xmorph_xml::dewey::Dewey;
@@ -334,8 +334,8 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         .expect("reopen store");
     // Warm every column from its persisted segment, so updates take
     // the cached-column merge path.
-    let mut doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(Preload::All))
-        .expect("open doc");
+    let mut doc =
+        ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(true)).expect("open doc");
     let types: Vec<TypeId> = doc.types().ids().collect();
     let types_total = types.len();
     let nodes_total = doc.shape().total_instances();
@@ -437,8 +437,8 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         .capacity(4096)
         .open(&path)
         .expect("reopen after vacuum");
-    let doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(Preload::All))
-        .expect("open doc");
+    let doc =
+        ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(true)).expect("open doc");
     assert!(
         doc.segment_fallbacks().is_empty(),
         "segments failed validation after vacuum: {:?}",
@@ -520,7 +520,7 @@ fn bench_cold_open(xml: &str) -> ColdOpen {
     // Every column loads into the document cache before `open_with`
     // returns; count the rows through a snapshot of that cache.
     let open_all = |store: &Store, opts: OpenOptions| -> (ShreddedDoc, usize) {
-        let doc = ShreddedDoc::open_with(store, &opts.preload(Preload::All)).expect("open doc");
+        let doc = ShreddedDoc::open_with(store, &opts.preload(true)).expect("open doc");
         let snap = doc.snapshot();
         let rows = doc.types().ids().map(|t| snap.column(t).len()).sum();
         (doc, rows)

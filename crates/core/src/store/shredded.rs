@@ -39,7 +39,7 @@ use crate::model::shape::{AdornedShape, ShapeBuilder};
 use crate::model::types::{TypeId, TypeTable};
 use crate::semantics::eval::DistOracle;
 use crate::store::colseg;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Ordering as Cmp;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -95,15 +95,9 @@ pub(in crate::store) type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 ///     .persist_columns(false);
 /// # let _ = opts;
 /// ```
-///
-/// The old public-field struct (and its positional-flag ancestors) is
-/// gone; fields are private so knobs can keep accreting behind the
-/// builder without breaking callers.
 #[derive(Debug, Clone)]
 pub struct ShredOptions {
     bulk_load: bool,
-    fill_factor: f64,
-    eager_columns: bool,
     persist_columns: bool,
     memory_budget: Option<usize>,
 }
@@ -112,8 +106,6 @@ impl Default for ShredOptions {
     fn default() -> Self {
         ShredOptions {
             bulk_load: true,
-            fill_factor: DEFAULT_FILL,
-            eager_columns: false,
             persist_columns: true,
             memory_budget: None,
         }
@@ -121,33 +113,20 @@ impl Default for ShredOptions {
 }
 
 impl ShredOptions {
-    /// Start from the defaults (bulk-loaded trees, lazy columns,
-    /// columns persisted on file-backed stores).
+    /// Start from the defaults (bulk-loaded trees, columns persisted on
+    /// file-backed stores, no memory budget).
     pub fn builder() -> ShredOptions {
         ShredOptions::default()
     }
 
-    /// Sort the `nodes`/`typeseq` entries once and build both trees with
-    /// the B+tree bulk loader (bottom-up leaf packing) instead of one
-    /// root-to-leaf insert per entry. `false` keeps the original
-    /// incremental path — the before/after baseline of the `fig_joins`
-    /// benchmark. Default: `true`.
+    /// Sort the `nodes`/`typeseq` entries and build both trees with the
+    /// B+tree bulk loader (bottom-up leaf packing at
+    /// [`xmorph_pagestore::DEFAULT_FILL`]) instead of one root-to-leaf
+    /// insert per entry. `false` keeps the original incremental path —
+    /// the correctness oracle and the before/after baseline of the
+    /// `fig_joins` benchmark. Default: `true`.
     pub fn bulk_load(mut self, on: bool) -> Self {
         self.bulk_load = on;
-        self
-    }
-
-    /// Leaf/interior fill factor handed to the bulk loader (clamped to
-    /// `[0.5, 1.0]`). Default: [`xmorph_pagestore::DEFAULT_FILL`].
-    pub fn fill_factor(mut self, fill: f64) -> Self {
-        self.fill_factor = fill;
-        self
-    }
-
-    /// Decode every type's [`TypeColumn`] eagerly right after shredding
-    /// instead of lazily on first touch. Default: `false`.
-    pub fn eager_columns(mut self, on: bool) -> Self {
-        self.eager_columns = on;
         self
     }
 
@@ -161,41 +140,28 @@ impl ShredOptions {
     }
 
     /// Cap, in bytes, on the shredder's working memory (bulk path
-    /// only). With a budget set, entry pairs accumulate in fixed-size
-    /// run buffers that are sorted and spilled to temporary store
-    /// segments as they fill, then k-way merged straight into the
-    /// B+tree bulk loader — so documents far larger than memory shred
-    /// without ever materializing the sorted entry set. `None` (the
-    /// default) keeps the all-in-memory sort, which is fastest when the
-    /// document comfortably fits.
+    /// only). Entry pairs accumulate in run buffers that are sorted and
+    /// spilled to temporary store segments as they fill, then k-way
+    /// merged straight into the B+tree bulk loader — so documents far
+    /// larger than memory shred without ever materializing the sorted
+    /// entry set. Unset (the default), the budget is unbounded: each
+    /// stream is one in-memory run that is sorted once and never
+    /// spills, which is fastest when the document comfortably fits.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
         self
     }
 }
 
-/// Which columns [`ShreddedDoc::open_with`] touches up front.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Preload {
-    /// Load nothing; every column loads on first touch.
-    #[default]
-    None,
-    /// Load every type's column before `open_with` returns.
-    All,
-    /// Load the types named by these dotted paths (e.g.
-    /// `"data.book.title"`); unknown paths are ignored.
-    Paths(Vec<String>),
-}
-
 /// Open-time knobs for an already-shredded store, built fluently:
 ///
 /// ```
-/// use xmorph_core::{OpenOptions, Preload};
+/// use xmorph_core::OpenOptions;
 ///
 /// let opts = OpenOptions::builder()
 ///     .mmap(false)
 ///     .column_budget(64 << 20)
-///     .preload(Preload::All);
+///     .preload(true);
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone)]
@@ -203,7 +169,7 @@ pub struct OpenOptions {
     persisted_columns: bool,
     mmap: bool,
     column_budget: Option<usize>,
-    preload: Preload,
+    preload: bool,
 }
 
 impl Default for OpenOptions {
@@ -212,7 +178,7 @@ impl Default for OpenOptions {
             persisted_columns: true,
             mmap: true,
             column_budget: None,
-            preload: Preload::None,
+            preload: false,
         }
     }
 }
@@ -248,10 +214,10 @@ impl OpenOptions {
         self
     }
 
-    /// Columns to load before `open_with` returns. Default:
-    /// [`Preload::None`].
-    pub fn preload(mut self, preload: Preload) -> Self {
-        self.preload = preload;
+    /// Load every type's column before `open_with` returns instead of
+    /// on first touch. Default: `false`.
+    pub fn preload(mut self, on: bool) -> Self {
+        self.preload = on;
         self
     }
 }
@@ -987,48 +953,168 @@ impl DocShared {
 
 /// Decode one type's column straight from the `typeseq` tree — the
 /// fallback build [`DocShared::load_column`] uses when no valid
-/// persisted segment exists. Malformed entries are skipped, matching
-/// the lenient decoding of the scans this replaces.
+/// persisted segment exists, through the same [`ColBuild`] the shred
+/// persists segments with.
 fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> TypeColumn {
-    let mut comps: Vec<u32> = Vec::new();
-    let mut texts = String::new();
-    let mut offsets: Vec<u32> = vec![0];
+    let mut col = ColBuild::new(width);
     for (k, v) in typeseq.scan_prefix(&t.0.to_be_bytes()) {
-        let mark = comps.len();
         // A torn tree can surface keys that violate the scan bounds,
         // including ones shorter than the type prefix — skip them
         // like any other malformed entry instead of slicing past
         // the end.
-        if !k.starts_with(&t.0.to_be_bytes())
-            || !decode_components_into(&k[4..], &mut comps)
-            || comps.len() - mark != width
-        {
-            comps.truncate(mark);
-            continue;
+        if k.starts_with(&t.0.to_be_bytes()) {
+            col.push(&k[4..], &v);
         }
-        match std::str::from_utf8(&v) {
-            Ok(text) => texts.push_str(text),
-            Err(_) => {
-                comps.truncate(mark);
-                continue;
+    }
+    col.finish()
+}
+
+/// One type's column under construction: the only decoder of
+/// `typeseq` entries into a [`TypeColumn`]. The lazy rebuild
+/// ([`decode_typeseq_column`]) and the shred-time persist
+/// ([`ColumnTee`]) both push entries through it, so a persisted
+/// segment holds exactly the bytes a rebuild would decode. Malformed
+/// entries — a Dewey that does not decode to `width` components, or
+/// non-UTF-8 text — are skipped.
+struct ColBuild {
+    width: usize,
+    comps: Vec<u32>,
+    offsets: Vec<u32>,
+    texts: String,
+}
+
+impl ColBuild {
+    fn new(width: usize) -> ColBuild {
+        ColBuild {
+            width,
+            comps: Vec::new(),
+            offsets: vec![0],
+            texts: String::new(),
+        }
+    }
+
+    /// Append one entry: `dewey` is the key past its 4-byte type
+    /// prefix, `text` the value.
+    fn push(&mut self, dewey: &[u8], text: &[u8]) {
+        let mark = self.comps.len();
+        match std::str::from_utf8(text) {
+            Ok(text)
+                if decode_components_into(dewey, &mut self.comps)
+                    && self.comps.len() - mark == self.width =>
+            {
+                self.texts.push_str(text);
+                self.offsets.push(self.texts.len() as u32);
+            }
+            _ => self.comps.truncate(mark),
+        }
+    }
+
+    /// Bytes held so far.
+    fn bytes(&self) -> usize {
+        self.comps.len() * 4 + self.offsets.len() * 4 + self.texts.len()
+    }
+
+    fn finish(self) -> TypeColumn {
+        TypeColumn::from_parts(self.width, self.comps, self.offsets, self.texts)
+    }
+}
+
+/// Taps a key-sorted pass over `typeseq` entries — the bulk load's
+/// merge, or the incremental path's committed scan — and persists each
+/// type's column segment the moment the type's key range ends, so the
+/// segments come out of the pass that already runs instead of a second
+/// scan. A column that outgrows `cap` is abandoned mid-build and
+/// rebuilt per type by [`ColumnTee::finish`]. Write errors latch (the
+/// bulk loader's iterator cannot carry a `Result`) and surface there.
+struct ColumnTee<'a> {
+    store: &'a Store,
+    types: &'a TypeTable,
+    generation: u64,
+    cap: usize,
+    /// The type whose key range is streaming past, and its column —
+    /// `None` once the column outgrew `cap`.
+    cur: Option<(TypeId, Option<ColBuild>)>,
+    overflowed: Vec<TypeId>,
+    error: Option<MorphError>,
+}
+
+impl<'a> ColumnTee<'a> {
+    fn new(store: &'a Store, types: &'a TypeTable, generation: u64, cap: usize) -> Self {
+        ColumnTee {
+            store,
+            types,
+            generation,
+            cap,
+            cur: None,
+            overflowed: Vec::new(),
+            error: None,
+        }
+    }
+
+    fn absorb(&mut self, k: &[u8], v: &[u8]) {
+        if self.error.is_some() {
+            return;
+        }
+        let Some(tb) = k.get(0..4) else { return };
+        let t = TypeId(u32::from_be_bytes(tb.try_into().unwrap()));
+        // An incremental re-shred scans entries an earlier document
+        // left behind; a type this shape lacks has no column.
+        if t.index() >= self.types.len() {
+            return;
+        }
+        if self.cur.as_ref().map(|(c, _)| *c) != Some(t) {
+            self.finalize();
+            self.cur = Some((t, Some(ColBuild::new(self.types.dewey_len(t)))));
+        }
+        let Some((_, slot)) = &mut self.cur else {
+            unreachable!("column build installed above")
+        };
+        if let Some(col) = slot {
+            col.push(&k[4..], v);
+            if col.bytes() > self.cap {
+                *slot = None;
             }
         }
-        offsets.push(texts.len() as u32);
     }
-    TypeColumn {
-        width,
-        backing: Backing::Heap {
-            comps,
-            texts,
-            offsets,
-        },
+
+    fn finalize(&mut self) {
+        match self.cur.take() {
+            None => {}
+            Some((t, None)) => self.overflowed.push(t),
+            Some((t, Some(col))) => self.put(t, col.finish()),
+        }
+    }
+
+    fn put(&mut self, t: TypeId, col: TypeColumn) {
+        if let Err(e) = self
+            .store
+            .put_segment(
+                &colseg::segment_name(t),
+                &col.encode_segment(self.generation),
+            )
+            .in_op("persist column segment")
+        {
+            self.error.get_or_insert(e);
+        }
+    }
+
+    /// Persist the last type's column, then each overflowed column from
+    /// a per-type decode of the loaded `typeseq` — bounded by the
+    /// largest single column, not the document, and not cached.
+    fn finish(mut self, typeseq: &Tree) -> MorphResult<()> {
+        self.finalize();
+        for t in std::mem::take(&mut self.overflowed) {
+            let col = decode_typeseq_column(typeseq, self.types.dewey_len(t), t);
+            self.put(t, col);
+        }
+        self.error.map_or(Ok(()), Err)
     }
 }
 
 // ---- streaming shred machinery (external sort over store segments) ----
 
 /// Name prefix of the temporary segments the external sort spills
-/// sorted runs into. They exist only for the duration of one streaming
+/// sorted runs into. They exist only for the duration of one bulk
 /// shred; [`RunGuard`] deletes them on both the success and the abort
 /// path, and a fresh shred clears any a crash left behind.
 const RUN_SEG_PREFIX: &str = "__shredrun.";
@@ -1038,8 +1124,8 @@ const RUN_SEG_PREFIX: &str = "__shredrun.";
 const RUN_ENTRY_OVERHEAD: usize = 48;
 
 /// Deletes every registered spill segment when dropped — after the
-/// merge on success, and on any abort path, so a failed streaming
-/// shred never leaks `__shredrun.*` segments.
+/// merge on success, and on any abort path, so a failed bulk shred
+/// never leaks `__shredrun.*` segments.
 struct RunGuard<'a> {
     store: &'a Store,
     names: RefCell<Vec<String>>,
@@ -1054,10 +1140,10 @@ impl Drop for RunGuard<'_> {
 }
 
 /// One sorted stream of the external sort: entries accumulate in a
-/// fixed-size buffer; when the buffer's byte estimate crosses `budget`
-/// it is sorted and spilled to a store segment as one run. The
-/// in-memory tail left at end of input becomes the final run without
-/// ever being serialized.
+/// buffer; when the buffer's byte estimate crosses `budget` it is
+/// sorted and spilled to a store segment as one run. The in-memory
+/// tail left at end of input becomes the final run without ever being
+/// serialized — under an unbounded budget it is the only run.
 struct RunSpiller<'a> {
     store: &'a Store,
     guard: &'a RunGuard<'a>,
@@ -1117,13 +1203,16 @@ impl<'a> RunSpiller<'a> {
         Ok(())
     }
 
-    /// Finish the stream: sort the tail, map every spilled run back in
-    /// (read-only, page-aligned — not heap on a file-backed store),
-    /// and return the k-way merge cursor. `produced` counts the pairs
-    /// the merge yields so the caller can verify none were lost to a
-    /// torn run.
-    fn into_merge(mut self, produced: &Cell<u64>) -> MorphResult<MergeStream<'_>> {
+    /// Finish the stream: sort the tail and, when nothing spilled, yield
+    /// it directly; otherwise map every spilled run back in (read-only,
+    /// page-aligned — not heap on a file-backed store) and k-way merge
+    /// them with the tail.
+    fn into_sorted(mut self) -> MorphResult<SortedRuns> {
         self.entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let tail = self.entries.into_iter();
+        if self.runs.is_empty() {
+            return Ok(SortedRuns::Tail(tail));
+        }
         let mut sources = Vec::with_capacity(self.runs.len() + 1);
         for name in &self.runs {
             let data = self
@@ -1133,19 +1222,18 @@ impl<'a> RunSpiller<'a> {
                 .ok_or(MorphError::Internal("shred run segment vanished"))?;
             sources.push(RunSource::Seg { data, pos: 0 });
         }
-        sources.push(RunSource::Mem {
-            iter: std::mem::take(&mut self.entries).into_iter(),
-        });
+        sources.push(RunSource::Mem { iter: tail });
         let heap = sources
             .iter_mut()
             .enumerate()
             .filter_map(|(i, s)| s.next().map(|(k, v)| std::cmp::Reverse((k, v, i))))
             .collect();
-        Ok(MergeStream {
+        Ok(SortedRuns::Merge(KWayMerge {
             sources,
             heap,
-            produced,
-        })
+            expected: self.count,
+            produced: 0,
+        }))
     }
 }
 
@@ -1168,8 +1256,9 @@ impl RunSource {
                 if rest.is_empty() {
                     return None;
                 }
-                // A truncated record ends the run early; the caller's
-                // produced-count check turns that into an error.
+                // A truncated record ends the run early; the produced
+                // count check in `SortedRuns::load_into` turns that
+                // into an error.
                 if rest.len() < 8 {
                     *pos = data.len();
                     return None;
@@ -1192,16 +1281,48 @@ impl RunSource {
 /// are unique across runs, so tuple order never reaches the index.
 type MergeHead = std::cmp::Reverse<(Vec<u8>, Vec<u8>, usize)>;
 
-/// K-way merge over sorted runs. A min-heap of run heads keeps each
-/// pop at O(log k) key comparisons, so the merge stays cheap even when
-/// an out-of-core document spills hundreds of runs.
-struct MergeStream<'p> {
-    sources: Vec<RunSource>,
-    heap: std::collections::BinaryHeap<MergeHead>,
-    produced: &'p Cell<u64>,
+/// The sorted stream a [`RunSpiller`] finishes into.
+enum SortedRuns {
+    /// Nothing spilled: the sorted in-memory tail is the whole stream.
+    Tail(std::vec::IntoIter<(Vec<u8>, Vec<u8>)>),
+    /// Runs spilled: k-way merge them with the tail.
+    Merge(KWayMerge),
 }
 
-impl Iterator for MergeStream<'_> {
+impl SortedRuns {
+    /// Bulk-load `tree` from the stream, showing every pair to `tap` on
+    /// its way in, and check that a merge lost no pair to a torn run.
+    /// The variant is matched once, outside the per-entry loop.
+    fn load_into(self, tree: &Tree, mut tap: impl FnMut(&[u8], &[u8])) -> MorphResult<()> {
+        let op = format!("bulk-load tree {:?}", tree.name());
+        match self {
+            SortedRuns::Tail(tail) => tree
+                .bulk_load(tail.inspect(|(k, v)| tap(k, v)), DEFAULT_FILL)
+                .in_op(&op)?,
+            SortedRuns::Merge(mut merge) => {
+                tree.bulk_load((&mut merge).inspect(|(k, v)| tap(k, v)), DEFAULT_FILL)
+                    .in_op(&op)?;
+                if merge.produced != merge.expected {
+                    return Err(MorphError::Internal("shred run lost entries in merge"));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// K-way merge over the spilled runs and the tail. A min-heap of run
+/// heads keeps each pop at O(log k) key comparisons, so the merge stays
+/// cheap even when an out-of-core document spills hundreds of runs.
+/// `produced` counts the pairs yielded against the `expected` pushes.
+struct KWayMerge {
+    sources: Vec<RunSource>,
+    heap: std::collections::BinaryHeap<MergeHead>,
+    expected: u64,
+    produced: u64,
+}
+
+impl Iterator for KWayMerge {
     type Item = (Vec<u8>, Vec<u8>);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1209,133 +1330,8 @@ impl Iterator for MergeStream<'_> {
         if let Some((nk, nv)) = self.sources[i].next() {
             self.heap.push(std::cmp::Reverse((nk, nv, i)));
         }
-        self.produced.set(self.produced.get() + 1);
+        self.produced += 1;
         Some((k, v))
-    }
-}
-
-/// Error and overflow signals latched by [`ColumnTee`] while it runs
-/// inside the bulk loader's iterator (which cannot carry a `Result`).
-struct TeeState {
-    error: Option<MorphError>,
-    overflowed: Vec<TypeId>,
-}
-
-/// One type's column under construction inside the tee.
-struct ColBuild {
-    t: TypeId,
-    width: usize,
-    comps: Vec<u32>,
-    offsets: Vec<u32>,
-    texts: String,
-    dropped: bool,
-}
-
-/// Wraps the sorted `typeseq` merge and builds each type's column from
-/// the same pass, persisting its segment the moment the type's key
-/// range ends — the streaming analogue of `persist_all_columns`. The
-/// decode mirrors [`decode_typeseq_column`] entry for entry (including
-/// its malformed-entry skips), so the persisted bytes are identical to
-/// what a post-shred decode would produce. A column that outgrows
-/// `cap` is abandoned mid-build and recorded for a bounded per-type
-/// fallback after the merge.
-struct ColumnTee<'a, I> {
-    inner: I,
-    cur: Option<ColBuild>,
-    state: &'a RefCell<TeeState>,
-    store: &'a Store,
-    types: &'a TypeTable,
-    generation: u64,
-    persist: bool,
-    cap: usize,
-}
-
-impl<I> ColumnTee<'_, I> {
-    fn finalize(&mut self) {
-        let Some(b) = self.cur.take() else { return };
-        if b.dropped {
-            self.state.borrow_mut().overflowed.push(b.t);
-            return;
-        }
-        if !self.persist {
-            return;
-        }
-        let col = TypeColumn::from_parts(b.width, b.comps, b.offsets, b.texts);
-        if let Err(e) = self
-            .store
-            .put_segment(
-                &colseg::segment_name(b.t),
-                &col.encode_segment(self.generation),
-            )
-            .in_op("persist column segment")
-        {
-            let mut st = self.state.borrow_mut();
-            if st.error.is_none() {
-                st.error = Some(e);
-            }
-        }
-    }
-
-    fn absorb(&mut self, k: &[u8], v: &[u8]) {
-        if self.state.borrow().error.is_some() {
-            return;
-        }
-        let Some(tb) = k.get(0..4) else { return };
-        let t = TypeId(u32::from_be_bytes(tb.try_into().unwrap()));
-        match &self.cur {
-            Some(b) if b.t == t => {}
-            _ => {
-                self.finalize();
-                self.cur = Some(ColBuild {
-                    t,
-                    width: self.types.dewey_len(t),
-                    comps: Vec::new(),
-                    offsets: vec![0],
-                    texts: String::new(),
-                    dropped: false,
-                });
-            }
-        }
-        let b = self.cur.as_mut().expect("column build installed above");
-        if b.dropped {
-            return;
-        }
-        let mark = b.comps.len();
-        if !decode_components_into(&k[4..], &mut b.comps) || b.comps.len() - mark != b.width {
-            b.comps.truncate(mark);
-            return;
-        }
-        match std::str::from_utf8(v) {
-            Ok(text) => b.texts.push_str(text),
-            Err(_) => {
-                b.comps.truncate(mark);
-                return;
-            }
-        }
-        b.offsets.push(b.texts.len() as u32);
-        if b.comps.len() * 4 + b.offsets.len() * 4 + b.texts.len() > self.cap {
-            b.comps = Vec::new();
-            b.offsets = Vec::new();
-            b.texts = String::new();
-            b.dropped = true;
-        }
-    }
-}
-
-impl<I: Iterator<Item = (Vec<u8>, Vec<u8>)>> Iterator for ColumnTee<'_, I> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.inner.next() {
-            Some((k, v)) => {
-                self.absorb(&k, &v);
-                Some((k, v))
-            }
-            None => {
-                self.finalize();
-                None
-            }
-        }
     }
 }
 
@@ -1498,18 +1494,24 @@ impl ShreddedDoc {
     }
 
     /// The single entry point the string/reader/file fronts funnel
-    /// into: pick the load strategy from the options.
+    /// into: the incremental oracle, or the external-sort bulk path —
+    /// under an unset [`ShredOptions::memory_budget`], one in-memory
+    /// run per stream that never spills.
     fn shred_events_with<E: EventSource>(
         store: &Store,
         reader: &mut E,
         opts: &ShredOptions,
     ) -> MorphResult<ShreddedDoc> {
-        if !opts.bulk_load {
-            Self::shred_incremental(store, reader, opts)
-        } else if let Some(budget) = opts.memory_budget {
-            Self::shred_bulk_streaming(store, reader, opts, budget)
+        let persist = opts.persist_columns && store.is_persistent();
+        if opts.bulk_load {
+            Self::shred_bulk(
+                store,
+                reader,
+                persist,
+                opts.memory_budget.unwrap_or(usize::MAX),
+            )
         } else {
-            Self::shred_bulk_in_memory(store, reader, opts)
+            Self::shred_incremental(store, reader, persist)
         }
     }
 
@@ -1520,7 +1522,7 @@ impl ShreddedDoc {
     fn shred_incremental<E: EventSource>(
         store: &Store,
         reader: &mut E,
-        opts: &ShredOptions,
+        persist: bool,
     ) -> MorphResult<ShreddedDoc> {
         // Trees are opened inside the transaction so a rollback
         // removes their catalog entries along with their pages.
@@ -1547,7 +1549,18 @@ impl ShreddedDoc {
         let (generation, stale) = plan_generation(&meta)?;
         commit_meta(&meta, &shape, generation, &stale)?;
         txn.commit().in_op("commit shred transaction")?;
-        let doc = Self::fresh_doc(
+        // Column persistence flushes, which must wait for the commit;
+        // one scan of the committed `typeseq` feeds every column.
+        if persist {
+            let mut tee = ColumnTee::new(store, shape.types(), generation, usize::MAX);
+            let mut scan = typeseq.scan_prefix(&[]);
+            while let Some((k, v)) = scan.next_entry().in_op("scan tree \"typeseq\"")? {
+                tee.absorb(&k, &v);
+            }
+            tee.finish(&typeseq)?;
+            store.flush().in_op("flush column segments")?;
+        }
+        Ok(Self::fresh_doc(
             store,
             nodes,
             typeseq,
@@ -1555,86 +1568,22 @@ impl ShreddedDoc {
             shape,
             generation,
             &OpenOptions::default(),
-        );
-        // Column persistence flushes, which must wait for the commit.
-        if opts.persist_columns && store.is_persistent() {
-            doc.persist_all_columns()?;
-        }
-        if opts.eager_columns {
-            doc.preload_all();
-        }
-        Ok(doc)
+        ))
     }
 
-    /// The all-in-memory bulk path: collect every entry pair, sort
-    /// once, pack both trees bottom-up. Fastest when the document
-    /// comfortably fits; [`ShredOptions::memory_budget`] switches to
-    /// the external sort instead. Trees are opened only after the
-    /// parse succeeds, so a malformed document leaves the store
-    /// untouched.
-    fn shred_bulk_in_memory<E: EventSource>(
+    /// The bulk path, an external sort: entries accumulate in run
+    /// buffers, full runs are sorted and spilled to temporary store
+    /// segments, and the sorted stream — the lone in-memory run when
+    /// nothing spilled, a k-way merge otherwise — feeds straight into
+    /// the bottom-up tree packer. When columns persist, the `typeseq`
+    /// pass is teed through the column builder so the segments come out
+    /// of the same scan. Peak tracked memory is proportional to the
+    /// budget, not the document. Trees are opened only after the parse
+    /// succeeds, so a malformed document leaves the store untouched.
+    fn shred_bulk<E: EventSource>(
         store: &Store,
         reader: &mut E,
-        opts: &ShredOptions,
-    ) -> MorphResult<ShreddedDoc> {
-        let mut builder = AdornedShape::builder();
-        let mut node_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut typeseq_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        drive_parse(
-            reader,
-            &mut builder,
-            |k, v| {
-                node_entries.push((k, v));
-                Ok(())
-            },
-            |k, v| {
-                typeseq_entries.push((k, v));
-                Ok(())
-            },
-        )?;
-        let shape = builder.finish();
-        let nodes = store.open_tree("nodes").in_op("open tree \"nodes\"")?;
-        let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
-        let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
-        node_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        typeseq_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        nodes
-            .bulk_load(node_entries, opts.fill_factor)
-            .in_op("bulk-load tree \"nodes\"")?;
-        typeseq
-            .bulk_load(typeseq_entries, opts.fill_factor)
-            .in_op("bulk-load tree \"typeseq\"")?;
-        let (generation, stale) = plan_generation(&meta)?;
-        commit_meta(&meta, &shape, generation, &stale)?;
-        let doc = Self::fresh_doc(
-            store,
-            nodes,
-            typeseq,
-            meta,
-            shape,
-            generation,
-            &OpenOptions::default(),
-        );
-        if opts.persist_columns && store.is_persistent() {
-            doc.persist_all_columns()?;
-        }
-        if opts.eager_columns {
-            doc.preload_all();
-        }
-        Ok(doc)
-    }
-
-    /// The external-sort bulk path ([`ShredOptions::memory_budget`]):
-    /// entries accumulate in fixed-size run buffers, full runs are
-    /// sorted and spilled to temporary store segments, and a k-way
-    /// merge feeds the sorted stream straight into the bottom-up tree
-    /// packer — with the `typeseq` pass teed through the column
-    /// builder so persisted segments come out of the same scan. Peak
-    /// tracked memory is proportional to the budget, not the document.
-    fn shred_bulk_streaming<E: EventSource>(
-        store: &Store,
-        reader: &mut E,
-        opts: &ShredOptions,
+        persist: bool,
         budget: usize,
     ) -> MorphResult<ShreddedDoc> {
         // A crashed earlier shred may have left runs behind; clear
@@ -1669,51 +1618,25 @@ impl ShreddedDoc {
         let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
         let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
         // The tee stamps segments with the new generation, so plan it
-        // before the merge; the meta writes land after, in the same
-        // order as the in-memory path.
+        // before the merge; the meta writes land after.
         let (generation, stale) = plan_generation(&meta)?;
 
-        let expect_nodes = node_runs.count;
-        let produced = Cell::new(0u64);
-        let merge = node_runs.into_merge(&produced)?;
-        nodes
-            .bulk_load(merge, opts.fill_factor)
-            .in_op("bulk-load tree \"nodes\"")?;
-        if produced.get() != expect_nodes {
-            return Err(MorphError::Internal("shred run lost entries in merge"));
-        }
-
-        let persist = opts.persist_columns && store.is_persistent();
-        let expect_tyseq = tyseq_runs.count;
-        let produced = Cell::new(0u64);
-        let state = RefCell::new(TeeState {
-            error: None,
-            overflowed: Vec::new(),
-        });
-        let tee = ColumnTee {
-            inner: tyseq_runs.into_merge(&produced)?,
-            cur: None,
-            state: &state,
-            store,
-            types: shape.types(),
-            generation,
-            persist,
-            cap: per,
-        };
-        typeseq
-            .bulk_load(tee, opts.fill_factor)
-            .in_op("bulk-load tree \"typeseq\"")?;
-        if produced.get() != expect_tyseq {
-            return Err(MorphError::Internal("shred run lost entries in merge"));
-        }
-        let state = state.into_inner();
-        if let Some(e) = state.error {
-            return Err(e);
+        node_runs.into_sorted()?.load_into(&nodes, |_, _| {})?;
+        let tyseq = tyseq_runs.into_sorted()?;
+        if persist {
+            let mut tee = ColumnTee::new(store, shape.types(), generation, per);
+            tyseq.load_into(&typeseq, |k, v| tee.absorb(k, v))?;
+            tee.finish(&typeseq)?;
+        } else {
+            tyseq.load_into(&typeseq, |_, _| {})?;
         }
 
         commit_meta(&meta, &shape, generation, &stale)?;
         drop(guard); // success: delete the spilled runs
-        let doc = Self::fresh_doc(
+        if persist {
+            store.flush().in_op("flush column segments")?;
+        }
+        Ok(Self::fresh_doc(
             store,
             nodes,
             typeseq,
@@ -1721,24 +1644,7 @@ impl ShreddedDoc {
             shape,
             generation,
             &OpenOptions::default(),
-        );
-        if persist {
-            // Columns too large for the tee's slice of the budget fall
-            // back to a per-type decode — bounded by the largest
-            // single column, not the document — and are not cached.
-            for t in state.overflowed {
-                let width = doc.shape.types().dewey_len(t);
-                let col = decode_typeseq_column(&doc.typeseq, width, t);
-                store
-                    .put_segment(&colseg::segment_name(t), &col.encode_segment(generation))
-                    .in_op("persist column segment")?;
-            }
-            store.flush().in_op("flush column segments")?;
-        }
-        if opts.eager_columns {
-            doc.preload_all();
-        }
-        Ok(doc)
+        ))
     }
 
     /// A handle over the given trees with the open-time knobs `opts`:
@@ -1803,17 +1709,8 @@ impl ShreddedDoc {
         let mut doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation, opts);
         doc.next_gen = generation.max(tygens.values().copied().max().unwrap_or(0)) + 1;
         doc.tygens = Mutex::new(tygens);
-        match &opts.preload {
-            Preload::None => {}
-            Preload::All => doc.preload_all(),
-            Preload::Paths(paths) => {
-                for dotted in paths {
-                    let path: Vec<String> = dotted.split('.').map(str::to_string).collect();
-                    if let Some(t) = doc.shape.types().lookup(&path) {
-                        let _ = doc.column(t);
-                    }
-                }
-            }
+        if opts.preload {
+            doc.preload_all();
         }
         Ok(doc)
     }
@@ -2106,22 +2003,6 @@ impl ShreddedDoc {
         let width = self.shape.types().dewey_len(t);
         self.shared
             .load_column(t, width, self.expected_generation(t))
-    }
-
-    /// Write every type's column as a persisted segment, then flush so
-    /// the segment catalog is durable. Runs at shred time (see
-    /// [`ShredOptions::persist_columns`]).
-    fn persist_all_columns(&self) -> MorphResult<()> {
-        for t in self.shape.types().ids() {
-            let col = self.column(t);
-            let name = colseg::segment_name(t);
-            let bytes = col.encode_segment(self.generation);
-            self.store
-                .put_segment(&name, &bytes)
-                .in_op(&format!("write column segment {name:?}"))?;
-        }
-        self.store.flush().in_op("flush column segments")?;
-        Ok(())
     }
 
     /// Test-only: persist every column in the legacy v1 (uncompressed)
@@ -3057,18 +2938,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn eager_columns_option_preloads() {
-        let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str_with(
-            &store,
-            FIG1A,
-            &ShredOptions::builder().eager_columns(true),
-        )
-        .unwrap();
-        assert!(doc.column_bytes().total() > 0);
-    }
-
     // ---- persisted column segments ----
 
     #[test]
@@ -3152,6 +3021,54 @@ mod tests {
     }
 
     #[test]
+    fn healthy_reshred_reports_no_fallbacks_or_rebuilds() {
+        // Re-shredding into a store that holds the previous shred's
+        // segments must not read them back: every path writes fresh
+        // segments straight from the builder, and the columns then
+        // serve from those segments.
+        for (label, opts) in [
+            ("default", ShredOptions::builder()),
+            ("incremental", ShredOptions::builder().bulk_load(false)),
+            ("budgeted", ShredOptions::builder().memory_budget(1)),
+        ] {
+            let path = temp_path(&format!("reshred-healthy-{label}.db"));
+            std::fs::remove_file(&path).ok();
+            let store = Store::create(&path).unwrap();
+            ShreddedDoc::shred_str_with(&store, FIG1A, &opts).unwrap();
+            let doc = ShreddedDoc::shred_str_with(&store, FIG1A, &opts).unwrap();
+            for t in doc.types().ids().collect::<Vec<_>>() {
+                assert_eq!(doc.scan_type(t), doc.snapshot().scan_type_btree(t));
+            }
+            assert!(
+                doc.segment_fallbacks().is_empty(),
+                "{label}: {:?}",
+                doc.segment_fallbacks()
+            );
+            assert_eq!(doc.maintenance_stats().column_rebuilds, 0, "{label}");
+            drop((doc, store));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn incremental_reshred_of_a_smaller_document_persists_its_columns() {
+        // The incremental path inserts into the existing trees, so the
+        // scan that persists columns also meets the earlier document's
+        // entries, including types the new shape does not have.
+        let path = temp_path("reshred-smaller.db");
+        std::fs::remove_file(&path).ok();
+        let store = Store::create(&path).unwrap();
+        let opts = ShredOptions::builder().bulk_load(false);
+        ShreddedDoc::shred_str_with(&store, FIG1A, &opts).unwrap();
+        let doc = ShreddedDoc::shred_str_with(&store, "<x><y>9</y></x>", &opts).unwrap();
+        let y = ty(&doc, "x.y");
+        assert_eq!(doc.scan_type(y), doc.snapshot().scan_type_btree(y));
+        assert!(doc.segment_fallbacks().is_empty());
+        drop((doc, store));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn persisted_columns_off_rebuilds() {
         let path = temp_path("persist-off.db");
         {
@@ -3170,25 +3087,11 @@ mod tests {
     }
 
     #[test]
-    fn preload_paths_loads_named_types_only() {
-        let path = temp_path("persist-preload.db");
-        {
-            let store = Store::create(&path).unwrap();
-            ShreddedDoc::shred_str(&store, FIG1A).unwrap();
-            store.close().unwrap();
-        }
-        let store = Store::open(&path).unwrap();
-        let doc = ShreddedDoc::open_with(
-            &store,
-            &OpenOptions::builder().preload(Preload::Paths(vec![
-                "data.book.title".to_string(),
-                "no.such.type".to_string(),
-            ])),
-        )
-        .unwrap();
-        assert_eq!(doc.columns.read().unwrap().len(), 1);
-        drop((doc, store));
-        std::fs::remove_file(&path).ok();
+    fn preload_loads_every_column() {
+        let store = Store::in_memory();
+        ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+        let doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().preload(true)).unwrap();
+        assert_eq!(doc.columns.read().unwrap().len(), doc.types().len());
     }
 
     #[test]

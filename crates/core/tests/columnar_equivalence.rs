@@ -649,12 +649,12 @@ fn v1_segments_still_open_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Streaming (external-sort) shred equivalence and abort atomicity: a
-// shred under a memory budget — any budget, including ones forcing
-// zero, one, or many spilled runs per stream — must describe exactly
-// the document an unbounded in-memory shred does, down to rendered
-// bytes and persisted column segments; and a shred that fails must
-// leave nothing behind.
+// Bulk (external-sort) shred equivalence and abort atomicity: a bulk
+// shred under any memory budget — ones forcing zero, one, or many
+// spilled runs per stream, and the unbounded default — must describe
+// exactly the document the incremental (`bulk_load(false)`) oracle
+// does, down to rendered bytes and persisted column segments; and a
+// shred that fails must leave nothing behind.
 // ---------------------------------------------------------------------
 
 /// Documents exercising the features the shredder must stream
@@ -704,20 +704,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn streaming_shred_equals_in_memory_shred(
+    fn streaming_shred_equals_incremental_shred(
         xml in streaming_corpus(),
         // Budgets at the floor (many runs), mid (zero or one spill),
-        // and far above the corpus (never spills).
-        budget in prop_oneof![Just(1usize), Just(16 * 1024), Just(1 << 20)],
+        // far above the corpus (never spills), and unset (unbounded).
+        budget in prop_oneof![
+            Just(Some(1usize)),
+            Just(Some(16 * 1024)),
+            Just(Some(1 << 20)),
+            Just(None),
+        ],
     ) {
-        let (_ms, mem) = shred(&xml);
-        let st_store = Store::in_memory();
-        let st = ShreddedDoc::shred_str_with(
-            &st_store,
+        let mem = ShreddedDoc::shred_str_with(
+            &Store::in_memory(),
             &xml,
-            &ShredOptions::builder().memory_budget(budget),
+            &ShredOptions::builder().bulk_load(false),
         )
         .unwrap();
+        let st_store = Store::in_memory();
+        let opts = match budget {
+            Some(bytes) => ShredOptions::builder().memory_budget(bytes),
+            None => ShredOptions::builder(),
+        };
+        let st = ShreddedDoc::shred_str_with(&st_store, &xml, &opts).unwrap();
 
         prop_assert_eq!(mem.shape().to_bytes(), st.shape().to_bytes());
         let types: Vec<TypeId> = mem.types().ids().collect();
@@ -750,12 +759,14 @@ proptest! {
     }
 
     #[test]
-    fn streaming_shred_persists_identical_segments_to_in_memory(xml in streaming_corpus()) {
-        let p1 = temp_path("seg-mem");
+    fn streaming_shred_persists_identical_segments_to_incremental(xml in streaming_corpus()) {
+        let p1 = temp_path("seg-inc");
         let p2 = temp_path("seg-ext");
+        let p3 = temp_path("seg-default");
         {
             let s1 = Store::create(&p1).unwrap();
-            ShreddedDoc::shred_str(&s1, &xml).unwrap();
+            ShreddedDoc::shred_str_with(&s1, &xml, &ShredOptions::builder().bulk_load(false))
+                .unwrap();
             let s2 = Store::create(&p2).unwrap();
             ShreddedDoc::shred_str_with(
                 &s2,
@@ -763,23 +774,29 @@ proptest! {
                 &ShredOptions::builder().memory_budget(1),
             )
             .unwrap();
+            // The unbudgeted default: one unspilled run per stream.
+            let s3 = Store::create(&p3).unwrap();
+            ShreddedDoc::shred_str(&s3, &xml).unwrap();
 
             let mut names: Vec<String> =
                 s1.segment_entries().unwrap().into_iter().map(|(n, _)| n).collect();
             prop_assert!(!names.is_empty());
             names.sort();
-            let mut names2: Vec<String> =
-                s2.segment_entries().unwrap().into_iter().map(|(n, _)| n).collect();
-            names2.sort();
-            prop_assert_eq!(&names, &names2);
-            for name in &names {
-                let a = s1.get_segment(name, false).unwrap().unwrap();
-                let b = s2.get_segment(name, false).unwrap().unwrap();
-                prop_assert_eq!(&a[..], &b[..], "segment {} differs", name);
+            for other in [&s2, &s3] {
+                let mut names2: Vec<String> =
+                    other.segment_entries().unwrap().into_iter().map(|(n, _)| n).collect();
+                names2.sort();
+                prop_assert_eq!(&names, &names2);
+                for name in &names {
+                    let a = s1.get_segment(name, false).unwrap().unwrap();
+                    let b = other.get_segment(name, false).unwrap().unwrap();
+                    prop_assert_eq!(&a[..], &b[..], "segment {} differs", name);
+                }
             }
         }
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
+        for p in [&p1, &p2, &p3] {
+            std::fs::remove_file(p).ok();
+        }
     }
 }
 

@@ -17,6 +17,9 @@
 //!   tests: literals, `.`, escapes, `[...]` classes with ranges,
 //!   `(a|b)` groups, and `{m,n}` / `{m}` / `?` / `*` / `+` repetition.
 //! - `.proptest-regressions` files are neither read nor written.
+//! - Of proptest's environment variables only `PROPTEST_CASES` is
+//!   honoured: when set to a valid count it overrides every config's
+//!   `cases`.
 
 pub mod test_runner {
     //! Deterministic case runner: config, error type, RNG.
@@ -110,8 +113,11 @@ pub mod test_runner {
     }
 
     impl TestRunner {
-        /// Runner executing `config.cases` cases.
-        pub fn new(config: ProptestConfig) -> TestRunner {
+        /// Runner executing `config.cases` cases — unless the
+        /// `PROPTEST_CASES` environment variable is set and parses, in
+        /// which case it overrides the count, as in real proptest.
+        pub fn new(mut config: ProptestConfig) -> TestRunner {
+            config.cases = cases_override(config.cases, std::env::var("PROPTEST_CASES").ok());
             TestRunner { config }
         }
 
@@ -137,6 +143,13 @@ pub mod test_runner {
                 }
             }
         }
+    }
+
+    /// The case count a runner uses: `env` (the `PROPTEST_CASES`
+    /// value) when present and a valid count, `configured` otherwise.
+    pub(crate) fn cases_override(configured: u32, env: Option<String>) -> u32 {
+        env.and_then(|v| v.trim().parse().ok())
+            .unwrap_or(configured)
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -985,6 +998,18 @@ macro_rules! prop_assert_ne {
 mod tests {
     use crate::prelude::*;
     use crate::test_runner::TestRng;
+
+    #[test]
+    fn proptest_cases_env_overrides_configured_count() {
+        use crate::test_runner::cases_override;
+        assert_eq!(cases_override(32, None), 32);
+        assert_eq!(cases_override(32, Some("512".into())), 512);
+        assert_eq!(cases_override(32, Some(" 7\n".into())), 7);
+        // Unparsable values keep the configured count.
+        assert_eq!(cases_override(32, Some("many".into())), 32);
+        assert_eq!(cases_override(32, Some("-1".into())), 32);
+        assert_eq!(cases_override(32, Some(String::new())), 32);
+    }
 
     #[test]
     fn regex_strategies_match_shape() {
